@@ -13,22 +13,36 @@ chi-square sum  sum_v Z_v^2 / ((v_1 ... v_k)^2 pi^(2k)).  Truncating at
 nu_max leaves a deterministic gap in the mean, which is added back to every
 norm draw by default (the tail variance is negligible at the default
 truncation levels).
+
+Norm tables draw the series by weight class, not term by term: all
+multi-indices with the same integer product v_1 ... v_k share one weight, and
+the sum of Z_v^2 over a class of multiplicity m is exactly chi-square with m
+degrees of freedom. One variate per class gives the same law with far fewer
+draws (2226 classes instead of 12^6 terms at k=6). Classes of multiplicity
+one come first and draw a squared standard normal, the others one
+chi-square(m) each; at k=1 every class is a single term, so those tables
+match the term-by-term series bit for bit. :data:`TABLE_SCHEME` names this
+stream layout in cache files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .core import RandomStream, enumerate_subsets, mask_cardinality, mask_members
 from .decompose import ramp_values
 
-#: Normal variates per derived sub-stream when generating norm tables. The
-#: block layout depends only on the table configuration, so results are
-#: independent of execution order and thread count.
+#: Variates (one per weight class and draw) per derived sub-stream when
+#: generating norm tables. The block layout depends only on the table
+#: configuration, so results are independent of execution order and thread
+#: count.
 _BLOCK_ELEMENTS = 1 << 23
+
+#: Version of the norm-table stream layout, recorded in table cache files so
+#: that tables drawn by an older layout are never mixed with new ones.
+TABLE_SCHEME = 2
 
 
 def default_nu_max(k: int) -> int:
@@ -143,11 +157,29 @@ def simulate_sheet(stream: RandomStream, p: int, cfg: KLConfig = KLConfig()) -> 
     return sheet
 
 
-def _norm_weights(k: int, nu_max: int) -> np.ndarray:
-    """Flattened weights 1/((v_1...v_k)^2 pi^(2k)) over {1..nu_max}^k."""
-    inv_sq = 1.0 / np.arange(1, nu_max + 1, dtype=np.float64) ** 2
-    grid = reduce(np.multiply.outer, [inv_sq] * k)
-    return grid.reshape(-1) / np.pi ** (2 * k)
+def weight_classes(k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight classes of the series truncated at nu_max: one class per distinct
+    integer product v_1...v_k over {1..nu_max}^k.
+
+    Returns the class weights 1/((v_1...v_k)^2 pi^(2k)) and multiplicities
+    (how many multi-indices share the product; they sum to nu_max^k).
+    Classes of multiplicity one come first, then the others; each group is in
+    ascending product order.
+    """
+    if nu_max ** k > np.iinfo(np.int64).max:
+        raise ValueError(f"nu_max={nu_max} at cardinality {k}: series products "
+                         "exceed the 64-bit integer range; lower nu_max")
+    base = np.arange(1, nu_max + 1, dtype=np.int64)
+    keys, counts = base, np.ones(nu_max, dtype=np.int64)
+    for _ in range(k - 1):
+        keys, inverse = np.unique(np.multiply.outer(keys, base).reshape(-1),
+                                  return_inverse=True)
+        merged = np.zeros(keys.shape[0], dtype=np.int64)
+        np.add.at(merged, inverse, np.repeat(counts, nu_max))
+        counts = merged
+    order = np.argsort(counts > 1, kind="stable")
+    weights = 1.0 / keys[order].astype(np.float64) ** 2 / np.pi ** (2 * k)
+    return weights, counts[order]
 
 
 def asymptotic_norm_draws(
@@ -159,7 +191,8 @@ def asymptotic_norm_draws(
 ) -> AsymptoticNormTable:
     """Simulate ``draws`` values of the limiting squared tent norm.
 
-    Each draw is the truncated weighted chi-square sum; with
+    Each draw is the truncated weighted chi-square sum, drawn with one
+    variate per weight class (:func:`weight_classes`); with
     ``tail_compensation`` the deterministic tail mean
     :func:`truncation_tail_mean` is added to every draw.
     """
@@ -168,15 +201,22 @@ def asymptotic_norm_draws(
     if draws < 1:
         raise ValueError("need at least one draw")
     nu = nu_max if nu_max is not None else default_nu_max(k)
-    weights = _norm_weights(k, nu)
+    if nu < 1:
+        raise ValueError("nu_max must be >= 1")
+    weights, counts = weight_classes(k, nu)
+    singles = int(np.count_nonzero(counts == 1))
+    shared = counts[singles:]
     shift = truncation_tail_mean(k, nu) if tail_compensation else 0.0
     out = np.empty(draws)
-    n_terms = weights.shape[0]
-    block_draws = max(1, _BLOCK_ELEMENTS // n_terms)
+    n_classes = weights.shape[0]
+    block_draws = max(1, _BLOCK_ELEMENTS // n_classes)
     for block, start in enumerate(range(0, draws, block_draws)):
-        stop = min(start + block_draws, draws)
-        z = stream.child(block).generator().standard_normal((stop - start, n_terms))
-        out[start:stop] = (z * z) @ weights + shift
+        rows = min(start + block_draws, draws) - start
+        gen = stream.child(block).generator()
+        terms = np.empty((rows, n_classes))
+        terms[:, :singles] = gen.standard_normal((rows, singles)) ** 2
+        terms[:, singles:] = gen.chisquare(shared, size=(rows, shared.shape[0]))
+        out[start:start + rows] = terms @ weights + shift
     out.sort()
     return AsymptoticNormTable(k=k, draws=out, nu_max=nu, seed=stream.seed)
 

@@ -69,6 +69,15 @@ def _cache_dir(flag_value: str | None) -> str | None:
     return flag_value if flag_value is not None else os.environ.get(CACHE_ENV)
 
 
+def _check_cached(path: str, cached: dict, requested: dict) -> None:
+    """Refuse a cache file whose configuration differs from the request."""
+    if cached != requested:
+        got, want = (" ".join(f"{key}={value}" for key, value in config.items())
+                     for config in (cached, requested))
+        raise ValueError(f"{path}: cached configuration ({got}) does not match "
+                         f"request ({want})")
+
+
 def cmd_test(args) -> int:
     sample = _read_sample(args.input, args.header)
     h = args.h if args.h is not None else sample.p
@@ -82,20 +91,24 @@ def cmd_test(args) -> int:
         tables = {}
         stream = RandomStream(args.seed)
         for k in range(1, sample.p + 1):
-            nu = args.nu_max
+            nu = args.nu_max if args.nu_max is not None else default_nu_max(k)
             path = None
             if cache:
-                nu_eff = nu if nu is not None else default_nu_max(k)
-                path = os.path.join(cache, table_filename(k, nu_eff, args.asym_draws,
+                path = os.path.join(cache, table_filename(k, nu, args.asym_draws,
                                                           args.seed))
             if path and os.path.exists(path):
-                tables[k] = load_table(path)
+                table = load_table(path)
+                _check_cached(path, dict(k=table.k, nu_max=table.nu_max,
+                                         draws=table.draws.shape[0], seed=table.seed),
+                              dict(k=k, nu_max=nu, draws=args.asym_draws,
+                                   seed=args.seed))
             else:
-                tables[k] = asymptotic_norm_draws(stream.child(k), k, nu_max=nu,
-                                                  draws=args.asym_draws)
+                table = asymptotic_norm_draws(stream.child(k), k, nu_max=nu,
+                                              draws=args.asym_draws)
                 if path:
                     os.makedirs(cache, exist_ok=True)
-                    save_table(tables[k], path)
+                    save_table(table, path)
+            tables[k] = table
         for mode in modes:
             reports.append(asymptotic_test(sample, tables, args.alpha, mode=mode))
     else:
@@ -106,9 +119,10 @@ def cmd_test(args) -> int:
                                                           args.R, args.seed))
             if os.path.exists(path):
                 reference = load_reference(path)
-                if (reference.n, reference.p, reference.h, reference.R,
-                        reference.seed) != (sample.n, sample.p, h, args.R, args.seed):
-                    raise ValueError(f"{path}: cached configuration does not match request")
+                _check_cached(path, dict(n=reference.n, p=reference.p, h=reference.h,
+                                         R=reference.R, seed=reference.seed),
+                              dict(n=sample.n, p=sample.p, h=h, R=args.R,
+                                   seed=args.seed))
         if reference is None:
             reference = build_null_reference(RandomStream(args.seed), sample.n,
                                              sample.p, h, args.R, threads=args.threads)

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import AsymptoticNormTable, asymptotic_cdf, asymptotic_norm_draws
+from .brownian import (TABLE_SCHEME, AsymptoticNormTable, asymptotic_cdf,
+                       asymptotic_norm_draws)
 from .core import RandomStream, Sample, enumerate_subsets, mask_label
 from .special import chisq_quantile
 from .tents import _norms_for_masks, all_tent_norms
@@ -276,7 +279,9 @@ def asymptotic_test(
 # ---------------------------------------------------------------------------
 # Cache files. One text format shared by null references and limiting-norm
 # tables: a magic line, a configuration line, then one sorted float vector
-# per subset at 17 significant digits (bit-exact round trip).
+# per subset at 17 significant digits (bit-exact round trip). Files are
+# written to a temporary name and renamed into place, so a concurrent reader
+# sees the old file or the complete new one.
 # ---------------------------------------------------------------------------
 
 def reference_filename(n: int, p: int, h: int, R: int, seed: int) -> str:
@@ -284,12 +289,15 @@ def reference_filename(n: int, p: int, h: int, R: int, seed: int) -> str:
 
 
 def table_filename(k: int, nu_max: int, draws: int, seed: int) -> str:
-    return f"asym_k{k}_nu{nu_max}_M{draws}_s{seed}.txt"
+    return f"asym_k{k}_nu{nu_max}_M{draws}_s{seed}_scheme{TABLE_SCHEME}.txt"
 
 
 def _format_cache(n: int, p: int, h: int, R: int, seed: int,
-                  vectors: dict[int, np.ndarray]) -> str:
-    lines = [CACHE_MAGIC, f"n={n} p={p} h={h} R={R} seed={seed}"]
+                  vectors: dict[int, np.ndarray], scheme: int | None = None) -> str:
+    config = f"n={n} p={p} h={h} R={R} seed={seed}"
+    if scheme is not None:
+        config += f" scheme={scheme}"
+    lines = [CACHE_MAGIC, config]
     for mask, vec in vectors.items():
         body = " ".join("%.17g" % v for v in vec)
         lines.append(f"H={mask:x} : {body}")
@@ -325,11 +333,24 @@ def _parse_cache(text: str, where: str) -> tuple[dict[str, int], dict[int, np.nd
     return config, vectors
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file next to ``path``, then rename it
+    over ``path``. On failure the temporary file is removed and any existing
+    ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_reference(reference: NullReference, path) -> None:
-    text = _format_cache(reference.n, reference.p, reference.h, reference.R,
-                         reference.seed, reference.norms)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_atomic(path, _format_cache(reference.n, reference.p, reference.h,
+                                      reference.R, reference.seed, reference.norms))
 
 
 def load_reference(path) -> NullReference:
@@ -346,17 +367,25 @@ def save_table(table: AsymptoticNormTable, path) -> None:
     """Write a limiting-norm table in the shared cache format.
 
     The ``n`` slot of the configuration line holds the truncation bound, and
-    the single subset line uses the lowest mask of cardinality k.
+    the single subset line uses the lowest mask of cardinality k. The
+    ``scheme`` token records the stream layout of the draws (see
+    :data:`unicube.brownian.TABLE_SCHEME`).
     """
-    text = _format_cache(table.nu_max, table.k, table.k, table.draws.shape[0],
-                         table.seed, {(1 << table.k) - 1: table.draws})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_atomic(path, _format_cache(table.nu_max, table.k, table.k,
+                                      table.draws.shape[0], table.seed,
+                                      {(1 << table.k) - 1: table.draws},
+                                      scheme=TABLE_SCHEME))
 
 
 def load_table(path) -> AsymptoticNormTable:
+    """Read a limiting-norm table; tables of another stream layout are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         config, vectors = _parse_cache(fh.read(), str(path))
+    scheme = config.get("scheme")
+    if scheme != TABLE_SCHEME:
+        found = "no scheme token" if scheme is None else f"scheme={scheme}"
+        raise ValueError(f"{path}: table has {found}; this version reads and draws "
+                         f"scheme={TABLE_SCHEME} tables")
     k = config["p"]
     mask = (1 << k) - 1
     if list(vectors) != [mask]:

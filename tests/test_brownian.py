@@ -1,13 +1,17 @@
 """Gaussian tent simulation, sheet assembly, and limiting-norm tables."""
 
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from unicube import (AsymptoticNormTable, KLConfig, RandomStream, asymptotic_cdf,
                      asymptotic_norm_draws, default_nu_max, simulate_sheet,
                      simulate_tent, truncated_sheet_covariance,
                      truncation_tail_mean)
-from unicube.brownian import _norm_weights, truncated_tent_kernel
+from unicube.brownian import _BLOCK_ELEMENTS, truncated_tent_kernel, weight_classes
 
 
 class TestSimulateTent:
@@ -121,12 +125,17 @@ class TestTruncatedCovariance:
 
 
 class TestNormDraws:
-    @pytest.mark.parametrize("k,draws", [(1, 100_000), (2, 30_000), (3, 10_000)])
+    @pytest.mark.parametrize("k,draws", [(1, 100_000), (2, 30_000), (3, 10_000),
+                                         (4, 10_000), (5, 10_000)])
     def test_mean_matches_six_power(self, k, draws):
         table = asymptotic_norm_draws(RandomStream(100 + k), k, draws=draws)
         mean = table.draws.mean()
         se = table.draws.std(ddof=1) / np.sqrt(draws)
         assert abs(mean - 6.0 ** (-k)) < 3.0 * se
+
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="nu_max"):
+            asymptotic_norm_draws(RandomStream(5), 1, nu_max=0, draws=10)
 
     def test_nonnegative_and_sorted(self):
         table = asymptotic_norm_draws(RandomStream(5), 2, draws=5000)
@@ -172,7 +181,7 @@ class TestNormDraws:
         # percentile within 2e-3. Shares the leading-term normals between the
         # levels so the comparison isolates the truncation effect.
         draws, nu_lo, nu_hi = 150_000, 200, 10_000
-        w_hi = _norm_weights(1, nu_hi)
+        w_hi, _ = weight_classes(1, nu_hi)
         lo_comp = truncation_tail_mean(1, nu_lo)
         hi_comp = truncation_tail_mean(1, nu_hi)
         root = RandomStream(4242)
@@ -187,6 +196,75 @@ class TestNormDraws:
         q_lo = np.quantile(lo_vals, 0.95)
         q_hi = np.quantile(hi_vals, 0.95)
         assert abs(q_lo - q_hi) < 2e-3
+
+
+class TestWeightClasses:
+    @pytest.mark.parametrize("k,classes", [(1, 200), (2, 1263), (3, 1130), (4, 504),
+                                           (5, 1120), (6, 2226)])
+    def test_class_counts_at_default_truncation(self, k, classes):
+        nu = default_nu_max(k)
+        weights, counts = weight_classes(k, nu)
+        assert weights.shape == counts.shape == (classes,)
+        assert int(counts.sum()) == nu ** k
+
+    def test_matches_brute_force_grouping(self):
+        k, nu = 3, 6
+        tally = Counter(int(np.prod(v)) for v in product(range(1, nu + 1), repeat=k))
+        singles = sorted(key for key, m in tally.items() if m == 1)
+        shared = sorted(key for key, m in tally.items() if m > 1)
+        keys = np.array(singles + shared, dtype=np.float64)
+        weights, counts = weight_classes(k, nu)
+        assert counts.tolist() == [tally[int(key)] for key in keys]
+        np.testing.assert_allclose(weights, 1.0 / (keys ** 2 * np.pi ** (2 * k)),
+                                   rtol=1e-15)
+
+    def test_products_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            weight_classes(18, 12)
+
+    def test_k1_table_is_the_plain_normal_series(self):
+        # Every k=1 class is a single term: the table must be bit-equal to
+        # squared normals dotted with the term weights, on the same stream.
+        nu, draws = 200, 3000
+        stream = RandomStream(71)
+        assert draws <= _BLOCK_ELEMENTS // nu  # one block, child stream 0
+        z = stream.child(0).generator().standard_normal((draws, nu))
+        weights = 1.0 / np.arange(1, nu + 1, dtype=np.float64) ** 2 / np.pi ** 2
+        expected = np.sort((z * z) @ weights + truncation_tail_mean(1, nu))
+        table = asymptotic_norm_draws(stream, 1, draws=draws)
+        assert table.draws.tobytes() == expected.tobytes()
+
+
+def _imhof_cdf(x: float, weights: np.ndarray, counts: np.ndarray) -> float:
+    """P(sum_c weights_c * chi2(counts_c) <= x) by Imhof's (1961) inversion of
+    the characteristic function."""
+    def integrand(u):
+        theta = 0.5 * np.sum(counts * np.arctan(weights * u)) - 0.5 * x * u
+        log_rho = 0.25 * np.sum(counts * np.log1p((weights * u) ** 2))
+        return np.sin(theta) / (u * np.exp(log_rho))
+
+    value, _ = integrate.quad(integrand, 0.0, np.inf, limit=1000)
+    return 0.5 - value / np.pi
+
+
+class TestImhofOracle:
+    def test_oracle_reproduces_cramer_von_mises_point(self):
+        # The k=1 law is the Cramer-von Mises limit; its 95% point is 0.46136.
+        weights, counts = weight_classes(1, 200)
+        shift = truncation_tail_mean(1, 200)
+        assert _imhof_cdf(0.46136 - shift, weights, counts) == pytest.approx(0.95, abs=1e-4)
+
+    @pytest.mark.parametrize("k,draws", [(1, 50_000), (2, 20_000)])
+    def test_table_cdf_within_dkw_band(self, k, draws):
+        nu = default_nu_max(k)
+        weights, counts = weight_classes(k, nu)
+        shift = truncation_tail_mean(k, nu)
+        table = asymptotic_norm_draws(RandomStream(61).child(k), k, draws=draws)
+        grid = np.quantile(table.draws, np.linspace(0.01, 0.99, 25))
+        exact = np.array([_imhof_cdf(x - shift, weights, counts) for x in grid])
+        empirical = np.searchsorted(table.draws, grid, side="right") / draws
+        dkw = np.sqrt(np.log(2.0 / 1e-3) / (2.0 * draws))
+        assert np.max(np.abs(empirical - exact)) <= dkw
 
 
 class TestAsymptoticCdf:

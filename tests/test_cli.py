@@ -115,6 +115,35 @@ class TestCmdTest:
         assert code == 2
         assert "does not match" in err
 
+    def test_table_config_mismatch(self, tmp_path, capsys):
+        data = uniform_sample(RandomStream(21), 40, 1).data
+        path = tmp_path / "u1.csv"
+        write_csv(path, data)
+        cache = tmp_path / "cache"
+        args = ["test", str(path), "--mode", "m-as", "--asym-draws", "500",
+                "--null-cache", str(cache)]
+        assert main(args + ["--seed", "5"]) in (0, 1)
+        capsys.readouterr()
+        (good,) = os.listdir(cache)
+        # A table file whose name promises a different seed than its content.
+        (cache / good.replace("_s5_", "_s6_")).write_bytes((cache / good).read_bytes())
+        code = main(args + ["--seed", "6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "does not match" in err and "seed=5" in err and "seed=6" in err
+
+    def test_asymptotic_mode_p6_writes_six_tables(self, tmp_path, capsys):
+        data = uniform_sample(RandomStream(23), 50, 6).data
+        path = tmp_path / "u6.csv"
+        write_csv(path, data)
+        cache = tmp_path / "cache"
+        code = main(["test", str(path), "--mode", "m-as", "--asym-draws", "2000",
+                     "--seed", "4", "--null-cache", str(cache)])
+        assert code in (0, 1)
+        assert "mode=m-as n=50 p=6" in capsys.readouterr().out
+        names = sorted(os.listdir(cache))
+        assert [name.split("_")[1] for name in names] == [f"k{k}" for k in range(1, 7)]
+
 
 class TestCmdNull:
     def test_idempotent_and_structured(self, tmp_path, capsys):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import unicube.inference
 from unicube import (NullReference, RandomStream, Sample, all_tent_norms,
                      asymptotic_norm_draws, asymptotic_test, build_asymptotic_tables,
                      build_null_reference, chisq_quantile, enumerate_subsets,
                      load_reference, load_table, m_test, phat, render_report,
                      report_json, run_tests, s_test, save_reference, save_table,
                      uniform_sample)
+from unicube.brownian import TABLE_SCHEME
+from unicube.inference import table_filename
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +242,48 @@ class TestCacheRoundTrip:
         path = tmp_path / "table.txt"
         save_table(table, path)
         assert load_table(path) == table
+
+    def test_table_records_its_scheme(self, tmp_path):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        name = table_filename(2, 8, 50, 55)
+        assert name == f"asym_k2_nu8_M50_s55_scheme{TABLE_SCHEME}.txt"
+        save_table(table, tmp_path / name)
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[1] == f"n=8 p=2 h=2 R=50 seed=55 scheme={TABLE_SCHEME}"
+
+    @pytest.mark.parametrize("token", ["", f" scheme={TABLE_SCHEME - 1}"])
+    def test_table_of_other_scheme_refused(self, tmp_path, token):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        text = path.read_text().replace(f" scheme={TABLE_SCHEME}", token)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="scheme"):
+            load_table(path)
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def fail_replace(src, dst):
+        raise OSError("simulated failure")
+
+    def test_failed_write_leaves_no_files(self, tmp_path, monkeypatch, small_reference):
+        table = asymptotic_norm_draws(RandomStream(55), 1, nu_max=8, draws=50)
+        monkeypatch.setattr(unicube.inference.os, "replace", self.fail_replace)
+        with pytest.raises(OSError, match="simulated"):
+            save_reference(small_reference, tmp_path / "ref.txt")
+        with pytest.raises(OSError, match="simulated"):
+            save_table(table, tmp_path / "table.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              small_reference):
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        before = path.read_bytes()
+        other = build_null_reference(RandomStream(43), n=25, p=2, h=2, R=499)
+        monkeypatch.setattr(unicube.inference.os, "replace", self.fail_replace)
+        with pytest.raises(OSError):
+            save_reference(other, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ref.txt"]
+        assert path.read_bytes() == before

@@ -22,7 +22,7 @@ FAMILIES = ("uniform", "amh", "fgm", "clayton", "plackett", "beta-iid", "normal-
 
 _BIVARIATE = ("amh", "fgm", "clayton", "plackett")
 
-_phi = np.vectorize(normal_cdf, otypes=[np.float64])
+_phi = normal_cdf
 
 
 @dataclass(frozen=True)

@@ -152,20 +152,34 @@ def phat(reference: NullReference, mask: int, observed: float) -> float:
     return (greater + 1) / (reference.R + 1)
 
 
-def _q1(x: float) -> float:
-    """Quantile of the one-degree chi-square; 0 and 1 map to the closed ends."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return math.inf
-    return chisq_quantile(x, 1)
-
-
 def _minp_threshold(alpha: float, family_size: int) -> float:
     """Per-subset cutoff 1 - (1-alpha)^(1/#subsets), exact for one subset."""
     if family_size == 1:
         return alpha
     return 1.0 - (1.0 - alpha) ** (1.0 / family_size)
+
+
+def _decide(mode: str, pvals: dict[int, float], alpha: float) -> tuple[float, float, bool]:
+    """Aggregate, threshold and decision of the m or s rule (finite or
+    asymptotic) on one family of per-subset p-values.
+
+    The s rule maps every 1 - p through the one-degree chi-square quantile in
+    one call (1 - p = 0 maps to 0, and 1 - p = 1 to inf) and compares the sum
+    with the quantile of 1 - alpha, taken by the same function so that a
+    single-subset family ties with the m rule at p == alpha.
+    """
+    family_size = len(pvals)
+    if mode.startswith("m"):
+        aggregate = min(pvals.values())
+        threshold = _minp_threshold(alpha, family_size)
+        return aggregate, threshold, aggregate < threshold
+    u = 1.0 - np.fromiter(pvals.values(), dtype=np.float64, count=family_size)
+    q = np.where(u >= 1.0, math.inf, 0.0)
+    inner = (u > 0.0) & (u < 1.0)
+    q[inner] = chisq_quantile(u[inner], 1)
+    aggregate = math.fsum(q)
+    threshold = chisq_quantile(1.0 - alpha, family_size)
+    return aggregate, threshold, aggregate > threshold
 
 
 def _check_match(sample: Sample, reference: NullReference) -> None:
@@ -195,21 +209,14 @@ def run_tests(
     norms = all_tent_norms(sample, reference.h)
     stats = norms.norms
     pvals = {mask: phat(reference, mask, stat) for mask, stat in stats.items()}
-    family_size = len(stats)
-
-    reports: dict[str, TestReport] = {}
     common = dict(statistics=stats, p_values=pvals, alpha=alpha, n=sample.n,
                   p=sample.p, h=reference.h, R=reference.R, seed=reference.seed)
-    if "m" in modes:
-        aggregate = min(pvals.values())
-        threshold = _minp_threshold(alpha, family_size)
-        reports["m"] = TestReport(mode="m", aggregate=aggregate, threshold=threshold,
-                                  reject=aggregate < threshold, **common)
-    if "s" in modes:
-        aggregate = sum(_q1(1.0 - pv) for pv in pvals.values())
-        threshold = chisq_quantile(1.0 - alpha, family_size)
-        reports["s"] = TestReport(mode="s", aggregate=aggregate, threshold=threshold,
-                                  reject=aggregate > threshold, **common)
+    reports: dict[str, TestReport] = {}
+    for mode in FINITE_MODES:
+        if mode in modes:
+            aggregate, threshold, reject = _decide(mode, pvals, alpha)
+            reports[mode] = TestReport(mode=mode, aggregate=aggregate, threshold=threshold,
+                                       reject=reject, **common)
     return reports
 
 
@@ -262,18 +269,10 @@ def asymptotic_test(
     stats = norms.norms
     pvals = {mask: 1.0 - asymptotic_cdf(tables[mask.bit_count()], stat)
              for mask, stat in stats.items()}
-    family_size = len(stats)
-    common = dict(statistics=stats, p_values=pvals, alpha=alpha, n=sample.n, p=p,
-                  h=p, R=tables[1].draws.shape[0], seed=tables[1].seed)
-    if mode == "m-as":
-        aggregate = min(pvals.values())
-        threshold = _minp_threshold(alpha, family_size)
-        return TestReport(mode=mode, aggregate=aggregate, threshold=threshold,
-                          reject=aggregate < threshold, **common)
-    aggregate = sum(_q1(1.0 - pv) for pv in pvals.values())
-    threshold = chisq_quantile(1.0 - alpha, family_size)
-    return TestReport(mode=mode, aggregate=aggregate, threshold=threshold,
-                      reject=aggregate > threshold, **common)
+    aggregate, threshold, reject = _decide(mode, pvals, alpha)
+    return TestReport(mode=mode, statistics=stats, p_values=pvals, aggregate=aggregate,
+                      threshold=threshold, alpha=alpha, reject=reject, n=sample.n, p=p,
+                      h=p, R=tables[1].draws.shape[0], seed=tables[1].seed)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,17 @@ def _parse_cache(text: str, where: str) -> tuple[dict[str, int], dict[int, np.nd
         if not head.strip().startswith("H="):
             raise ValueError(f"{where}: malformed subset line {line[:40]!r}")
         mask = int(head.strip()[2:], 16)
-        vec = np.array([float(tok) for tok in body.split()])
+        try:
+            vec = np.array(body.split(), dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{where}: subset {mask:#x}: {exc}") from None
         if vec.shape[0] != config["R"]:
             raise ValueError(
                 f"{where}: subset {mask:#x} has {vec.shape[0]} values, expected R={config['R']}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{where}: subset {mask:#x} has a non-finite value")
+        if np.any(vec[1:] < vec[:-1]):
+            raise ValueError(f"{where}: subset {mask:#x} is not sorted ascending")
         vectors[mask] = vec
     return config, vectors
 

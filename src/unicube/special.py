@@ -1,178 +1,59 @@
-"""Scalar distribution functions: standard normal c.d.f./quantile and
-chi-square c.d.f./quantile through the regularized incomplete gamma function.
+"""Standard normal c.d.f./quantile and chi-square c.d.f./quantile on
+scipy.special.
 
-Self-contained on purpose (standard library math only); the test suite checks
-every function against an independent reference implementation.
+Each function takes a scalar or an array: a scalar gives a float, an array
+gives an array of the same shape. Arguments outside the domain raise
+``ValueError`` rather than returning nan or an infinite endpoint.
 """
 
 from __future__ import annotations
 
-import math
-
-_SQRT2 = math.sqrt(2.0)
-_EPS = 2.220446049250313e-16
-_FPMIN = 1e-300
+import numpy as np
+from scipy.special import chdtr, chdtri, ndtr, ndtri
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by power series; x < a + 1."""
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(10000):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def _result(x, value):
+    return float(value) if np.ndim(x) == 0 else value
 
 
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by Lentz continued fraction;
-    x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+def _check_dof(f: int) -> None:
+    if f < 1:
+        raise ValueError("degrees of freedom must be >= 1")
 
 
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
-
-    Series for x < a + 1, continued fraction otherwise.
-    """
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+def _check_probability(u) -> np.ndarray:
+    arr = np.asarray(u, dtype=np.float64)
+    bad = ~((arr > 0.0) & (arr < 1.0))
+    if bad.any():
+        raise ValueError(f"probability must be in (0, 1), got {arr[bad].flat[0]}")
+    return arr
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal c.d.f. Phi(x)."""
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
+def normal_cdf(x):
+    """Standard normal c.d.f. Phi(x) for finite x."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
         raise ValueError("argument must be finite")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return _result(x, ndtr(arr))
 
 
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Rational approximation coefficients (Acklam), used only as a starting point.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def _normal_quantile_approx(u: float) -> float:
-    if u < 0.02425:
-        q = math.sqrt(-2.0 * math.log(u))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if u > 1.0 - 0.02425:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = u - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
-def normal_quantile(u: float) -> float:
+def normal_quantile(u):
     """Inverse of the standard normal c.d.f., 0 < u < 1."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {u}")
-    z = _normal_quantile_approx(u)
-    # Two Newton corrections take the 1e-9 starting value to machine precision.
-    for _ in range(2):
-        density = normal_pdf(z)
-        if density <= 0.0:
-            break
-        z -= (normal_cdf(z) - u) / density
-    return z
+    return _result(u, ndtri(_check_probability(u)))
 
 
-def chisq_cdf(x: float, f: int) -> float:
-    """Chi-square c.d.f. with f degrees of freedom: P(f/2, x/2)."""
-    if f < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    x = float(x)
-    if math.isnan(x) or x < 0.0:
+def chisq_cdf(x, f: int):
+    """Chi-square c.d.f. with f degrees of freedom, x >= 0."""
+    _check_dof(f)
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(arr >= 0.0):
         raise ValueError("argument must be >= 0")
-    return gamma_p(0.5 * f, 0.5 * x)
+    return _result(x, chdtr(f, arr))
 
 
-def _chisq_pdf(x: float, f: int) -> float:
-    a = 0.5 * f
-    if x <= 0.0:
-        return math.inf if f == 1 else (0.5 if f == 2 else 0.0)
-    return 0.5 * math.exp((a - 1.0) * math.log(0.5 * x) - 0.5 * x - math.lgamma(a))
-
-
-def chisq_quantile(u: float, f: int) -> float:
-    """Inverse chi-square c.d.f. with f degrees of freedom, 0 < u < 1.
-
-    Wilson-Hilferty starting value, then Newton iteration on the c.d.f.
-    safeguarded by a bracket; converges to full floating precision.
-    """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {u}")
-    if f < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    z = normal_quantile(u)
-    t = 2.0 / (9.0 * f)
-    x = f * (1.0 - t + z * math.sqrt(t)) ** 3
-    if x <= 0.0:
-        # Small-quantile start from the leading term of the series expansion.
-        a = 0.5 * f
-        x = 2.0 * math.exp((math.log(u) + math.lgamma(a + 1.0)) / a)
-    lo, hi = 0.0, x
-    while chisq_cdf(hi, f) < u:
-        lo = hi
-        hi *= 2.0
-    for _ in range(200):
-        err = chisq_cdf(x, f) - u
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        density = _chisq_pdf(x, f)
-        step_ok = density > 0.0 and math.isfinite(density)
-        x_new = x - err / density if step_ok else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(x, 1e-300):
-            return x_new
-        x = x_new
-    return x
+def chisq_quantile(u, f: int):
+    """Inverse chi-square c.d.f. with f degrees of freedom, 0 < u < 1,
+    evaluated as the upper-tail inverse at 1 - u."""
+    u_arr = _check_probability(u)
+    _check_dof(f)
+    return _result(u, chdtri(f, 1.0 - u_arr))

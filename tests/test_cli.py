@@ -115,6 +115,22 @@ class TestCmdTest:
         assert code == 2
         assert "does not match" in err
 
+    def test_unsorted_cached_reference_fails(self, uniform_csv, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ["test", str(uniform_csv), "--R", "49", "--seed", "5",
+                "--null-cache", str(cache)]
+        main(args)
+        capsys.readouterr()
+        path = cache / "null_n50_p2_h2_R49_s5.txt"
+        lines = path.read_text().splitlines()
+        head, _, body = lines[2].partition(":")
+        lines[2] = f"{head}: {' '.join(reversed(body.split()))}"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "subset 0x1 is not sorted ascending" in err
+
     def test_table_config_mismatch(self, tmp_path, capsys):
         data = uniform_sample(RandomStream(21), 40, 1).data
         path = tmp_path / "u1.csv"

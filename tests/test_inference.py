@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import unicube.inference
 from unicube import (NullReference, RandomStream, Sample, all_tent_norms,
@@ -13,7 +14,7 @@ from unicube import (NullReference, RandomStream, Sample, all_tent_norms,
                      report_json, run_tests, s_test, save_reference, save_table,
                      uniform_sample)
 from unicube.brownian import TABLE_SCHEME
-from unicube.inference import table_filename
+from unicube.inference import _decide, table_filename
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,23 @@ class TestSTest:
                 assert m_report.reject == s_report.reject, (alpha, expected_pv)
 
 
+class TestDecisionPins:
+    """The s transform and threshold against scipy's upper-tail chi-square
+    inverse ``chi2.isf``, which takes the p-value directly instead of 1 - p."""
+
+    @pytest.mark.parametrize("f", [1, 3, 63])
+    @pytest.mark.parametrize("pv", [1 / 1000, 0.05, 0.5, 1.0])
+    def test_sum_transform(self, f, pv):
+        aggregate, _, _ = _decide("s", dict.fromkeys(range(1, f + 1), pv), 0.05)
+        assert aggregate == pytest.approx(f * stats.chi2.isf(pv, 1), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("f", [1, 3, 63])
+    @pytest.mark.parametrize("alpha", [1 / 1000, 0.05, 0.5])
+    def test_threshold(self, f, alpha):
+        _, threshold, _ = _decide("s", dict.fromkeys(range(1, f + 1), 0.5), alpha)
+        assert threshold == pytest.approx(stats.chi2.isf(alpha, f), rel=1e-12, abs=0.0)
+
+
 class TestRunTests:
     def test_shares_statistics_between_modes(self, small_reference):
         sample = uniform_sample(RandomStream(8), 25, 2)
@@ -260,6 +278,60 @@ class TestCacheRoundTrip:
         path.write_text(text)
         with pytest.raises(ValueError, match="scheme"):
             load_table(path)
+
+
+def _edit_first_subset(path, edit):
+    """Rewrite the value tokens of a cache file's first subset line."""
+    lines = path.read_text().splitlines()
+    head, _, body = lines[2].partition(":")
+    tokens = body.split()
+    edit(tokens)
+    lines[2] = f"{head}: {' '.join(tokens)}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _put_nan(tokens):
+    tokens[3] = "nan"
+
+
+def _put_inf(tokens):
+    tokens[-1] = "inf"
+
+
+def _swap(tokens):
+    tokens[3], tokens[4] = tokens[4], tokens[3]
+
+
+CORRUPTIONS = [(_put_nan, "non-finite"), (_put_inf, "non-finite"), (_swap, "not sorted")]
+
+
+class TestCacheValidation:
+    @pytest.mark.parametrize("edit, message", CORRUPTIONS)
+    def test_reference_refused(self, tmp_path, small_reference, edit, message):
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _edit_first_subset(path, edit)
+        with pytest.raises(ValueError, match=message) as info:
+            load_reference(path)
+        assert str(path) in str(info.value) and "subset 0x1 " in str(info.value)
+
+    @pytest.mark.parametrize("edit, message", CORRUPTIONS)
+    def test_table_refused(self, tmp_path, edit, message):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        _edit_first_subset(path, edit)
+        with pytest.raises(ValueError, match=message) as info:
+            load_table(path)
+        assert str(path) in str(info.value) and "subset 0x3 " in str(info.value)
+
+    def test_malformed_token_refused(self, tmp_path, small_reference):
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _edit_first_subset(path, lambda tokens: tokens.__setitem__(3, "0.5x"))
+        with pytest.raises(ValueError, match="0.5x") as info:
+            load_reference(path)
+        assert str(path) in str(info.value) and "subset 0x1:" in str(info.value)
 
 
 class TestAtomicWrites:

@@ -40,6 +40,15 @@ class TestEstimatePower:
         c = estimate_power(exp, threads=3)
         assert a == b == c
 
+    def test_rejection_counts_pinned(self):
+        # One small cell of the published grid, pinned end to end: sampling,
+        # tent statistics, p-values and both decision rules. R=199 cannot
+        # reach the min-p cutoff for 63 subsets, so m never rejects.
+        exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=50,
+                              trials=40, R=199, seed=5)
+        out = estimate_power(exp)
+        assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
+
     def test_mismatched_reference_rejected(self):
         from unicube import RandomStream, build_null_reference
         exp = experiment(AlternativeSpec("uniform", p=2), trials=10, R=49)

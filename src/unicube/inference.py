@@ -28,7 +28,7 @@ import numpy as np
 
 from .brownian import (TABLE_SCHEME, AsymptoticNormTable, asymptotic_cdf,
                        asymptotic_norm_draws)
-from .core import RandomStream, Sample, enumerate_subsets, mask_label
+from .core import RandomStream, Sample, enumerate_subsets, mask_label, subset_count
 from .special import chisq_quantile
 from .tents import _norms_for_masks, all_tent_norms
 
@@ -37,9 +37,15 @@ CACHE_MAGIC = "unicube-null v1"
 FINITE_MODES = ("m", "s")
 ASYMPTOTIC_MODES = ("m-as", "s-as")
 
-#: Replicates per work unit when building references. Each replicate still
-#: owns its own sub-stream, so the grouping never affects the output.
+#: Replicates per work unit when building references. Each replicate owns
+#: its own sub-stream, and the kernel reduces each row on its own over a
+#: fixed pair tile, so neither the grouping nor the thread count changes a
+#: bit of the output.
 _REPLICATE_BATCH = 256
+
+#: Largest null statistic matrix (R x #subsets float64 values, in bytes) that
+#: ``build_null_reference`` will allocate.
+_REFERENCE_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,12 @@ def build_null_reference(
     sorted ascending per subset."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    count = subset_count(p, h)
+    size = R * count * 8
+    if size > _REFERENCE_BUDGET:
+        raise ValueError(f"a null reference of R={R} x {count} subsets needs "
+                         f"{size / 2**20:,.0f} MiB, over the "
+                         f"{_REFERENCE_BUDGET / 2**20:,.0f} MiB budget; lower R or h")
     masks = enumerate_subsets(p, h)
     matrix = null_statistic_matrix(stream, n, p, masks, R, threads=threads)
     norms = {mask: np.sort(matrix[:, i]) for i, mask in enumerate(masks)}

@@ -7,9 +7,11 @@ For a subset H the tent statistic of a sample U is
 
 with the pair factor f(u, v) = (u^2 + v^2)/2 - max(u, v) + 1/3, which is the
 integral over [0,1] of (1{u<=t} - t)(1{v<=t} - t). The double sum is computed
-over pairs a <= b only (off-diagonal terms doubled), and per-subset products
-are assembled by reusing the product of the subset minus its lowest bit, so a
-whole family of subsets costs barely more than a single one.
+over pairs a <= b only (off-diagonal terms doubled), in fixed tiles of pairs.
+Within a tile the per-subset products are built depth first from the product
+of the subset minus its lowest bit, so a whole family of subsets costs barely
+more than a single one and only one product per cardinality is held at a
+time: memory is bounded by the tile, not by n^2 or the number of subsets.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Sample, enumerate_subsets, mask_cardinality
+
+#: Pairs per tile of the kernel. Fixed, so that a row's sums, and hence its
+#: bits, do not depend on the batch it is scored in.
+_PAIR_TILE = 512
 
 
 def pair_factor(u: float, v: float) -> float:
@@ -42,39 +48,26 @@ class TentNorms:
         return list(self.norms.keys())
 
 
-def _pair_factors(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair factors for a (B, n, p) batch over pairs a <= b.
+def _pair_factors(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pair factor f(u, v) elementwise, for gathered coordinate arrays."""
+    return (u * u + v * v) / 2.0 - np.maximum(u, v) + 1.0 / 3.0
 
-    Returns (factors, weights): factors has shape (B, npairs, p), weights has
-    shape (npairs,) with 1 on the diagonal pairs and 2 off it.
+
+def _subset_product(mask: int, prod: np.ndarray, factors: np.ndarray,
+                    children: dict[int, list[tuple[int, int]]], columns: dict[int, int],
+                    sums: list) -> None:
+    """Depth-first walk from ``mask``, whose product over the tile is ``prod``.
+
+    product(H | 1<<j) = product(H) * factor(j) for each child listed in
+    ``children`` (j below the lowest bit of H): the lowest-bit recurrence read
+    from the top, so only one product per cardinality is alive at a time. A
+    requested mask stores the per-row sum of its product in ``sums[column]``.
     """
-    _, n, _ = batch.shape
-    ia, ib = np.triu_indices(n)
-    u = batch[:, ia, :]
-    v = batch[:, ib, :]
-    factors = (u * u + v * v) / 2.0 - np.maximum(u, v) + 1.0 / 3.0
-    weights = np.where(ia == ib, 1.0, 2.0)
-    return factors, weights
-
-
-def _subset_product(mask: int, factors: np.ndarray, cache: dict[int, np.ndarray]) -> np.ndarray:
-    """Product over j in mask of factors[..., j], via the lowest-bit recurrence.
-
-    product(H) = product(H minus lowest bit) * factor(lowest bit). Memoized so
-    that any request order performs the identical sequence of multiplications.
-    """
-    found = cache.get(mask)
-    if found is not None:
-        return found
-    low = mask & -mask
-    rest = mask ^ low
-    j = low.bit_length() - 1
-    if rest == 0:
-        prod = factors[..., j]
-    else:
-        prod = _subset_product(rest, factors, cache) * factors[..., j]
-    cache[mask] = prod
-    return prod
+    col = columns.get(mask)
+    if col is not None:
+        sums[col] = prod.sum(axis=-1)
+    for j, child in children[mask]:
+        _subset_product(child, prod * factors[j], factors, children, columns, sums)
 
 
 def _canonical_rows(points: np.ndarray) -> np.ndarray:
@@ -89,16 +82,36 @@ def _canonical_rows(points: np.ndarray) -> np.ndarray:
 
 
 def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks))."""
-    n = batch.shape[1]
-    batch = np.stack([_canonical_rows(item) for item in batch])
-    factors, weights = _pair_factors(batch)
-    cache: dict[int, np.ndarray] = {}
-    out = np.empty((batch.shape[0], len(masks)))
-    for col, mask in enumerate(masks):
-        prod = _subset_product(mask, factors, cache)
-        out[:, col] = prod @ weights / n
-    return out
+    """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks)).
+
+    Pairs a <= b are taken in tiles of ``_PAIR_TILE``. The pair weight (1 on
+    the diagonal, 2 off it, so exact) is the product of the empty subset and
+    every product is C-contiguous, so each row is reduced by the same per-row
+    sums whatever the batch size.
+    """
+    b, n, p = batch.shape
+    coords = np.ascontiguousarray(
+        np.stack([_canonical_rows(item) for item in batch]).transpose(2, 0, 1))
+    columns = {mask: col for col, mask in enumerate(masks)}
+    need = {0}
+    for mask in masks:
+        while mask not in need:
+            need.add(mask)
+            mask &= mask - 1
+    # The children of H are H | 1<<j for every j below its lowest bit (any
+    # j < p for the empty set, whose product is the pair weight).
+    children = {mask: [(j, mask | 1 << j)
+                       for j in range((mask & -mask).bit_length() - 1 if mask else p)
+                       if mask | 1 << j in need] for mask in need}
+    ia, ib = np.triu_indices(n)
+    acc = np.zeros((len(masks), b))
+    sums: list = [None] * len(masks)
+    for lo in range(0, ia.size, _PAIR_TILE):
+        ta, tb = ia[lo:lo + _PAIR_TILE], ib[lo:lo + _PAIR_TILE]
+        factors = _pair_factors(coords.take(ta, axis=2), coords.take(tb, axis=2))
+        _subset_product(0, np.where(ta == tb, 1.0, 2.0), factors, children, columns, sums)
+        acc += sums
+    return acc.T / n
 
 
 def tent_norm(sample: Sample, mask: int) -> float:

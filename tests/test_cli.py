@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, cache files, CSV output, diagnostics."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ class TestCmdNull:
     def test_unwritable_path(self, capsys):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
                      "--out", "/no-such-dir/ref.txt"]) == 2
+
+    def test_oversized_reference_fails_before_allocating(self, tmp_path, capsys):
+        # R=999 x 2^20 - 1 subsets would need about 8 GB.
+        tracemalloc.start()
+        try:
+            code = main(["null", "--n", "10", "--p", "20", "--h", "20", "--R", "999",
+                         "--out", str(tmp_path / "ref.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 16 * 2**20
+        assert "MiB budget" in capsys.readouterr().err
+        assert not (tmp_path / "ref.txt").exists()
 
 
 class TestCmdPower:

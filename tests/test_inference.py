@@ -66,6 +66,35 @@ class TestBuildNullReference:
         assert m_test(sample, ref, 0.5).p_values[1] in (0.5, 1.0)
 
 
+class TestGroupingInvariance:
+    """A null row's bits depend on its replicate's stream alone: not on the
+    replicate batch it is scored in, nor on the thread count."""
+
+    @pytest.mark.parametrize("n,p,h", [(50, 6, 6), (200, 3, 3), (50, 10, 3)])
+    def test_null_matrix_bit_identical(self, monkeypatch, n, p, h):
+        stream = RandomStream(21)
+        masks = enumerate_subsets(p, h)
+        results = []
+        for batch in (256, 37, 1):
+            monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", batch)
+            for threads in (1, 2):
+                results.append(unicube.inference.null_statistic_matrix(
+                    stream, n, p, masks, 300, threads=threads))
+        first = results[0].view(np.int64)
+        for other in results[1:]:
+            assert np.array_equal(other.view(np.int64), first)
+
+    @pytest.mark.parametrize("n,p,h", [(50, 6, 6), (200, 3, 3), (50, 10, 3)])
+    def test_single_sample_equals_its_row(self, n, p, h):
+        stream = RandomStream(22)
+        masks = enumerate_subsets(p, h)
+        matrix = unicube.inference.null_statistic_matrix(stream, n, p, masks, 40)
+        for r in (0, 17, 39):
+            sample = Sample(stream.child(r).generator().random((n, p)))
+            row = np.array([all_tent_norms(sample, h)[m] for m in masks])
+            assert np.array_equal(row.view(np.int64), matrix[r].view(np.int64))
+
+
 class TestPhat:
     def test_observed_below_all(self):
         ref = synthetic_reference([1.0, 2.0, 3.0])

@@ -1,4 +1,5 @@
-"""Property tests of the cache round trip and of the Monte Carlo p-value."""
+"""Property tests of the cache round trip, of the Monte Carlo p-value and of
+the bitwise invariances of the tents kernel."""
 
 import os
 import tempfile
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unicube import NullReference, load_reference, phat, save_reference
+from unicube import NullReference, enumerate_subsets, load_reference, phat, save_reference
+from unicube.tents import _norms_for_masks
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 sorted_vectors = hnp.arrays(np.float64, st.integers(1, 40), elements=finite).map(np.sort)
@@ -36,3 +38,33 @@ def test_phat_does_not_increase_with_observed(vec, x, y):
     ref = reference(vec)
     lo, hi = min(x, y), max(x, y)
     assert phat(ref, 1, hi) <= phat(ref, 1, lo)
+
+
+# Up to 40 rows, so that some batches span more than one pair tile.
+batches = st.tuples(st.integers(1, 5), st.integers(1, 40), st.integers(1, 4)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+
+
+def bits(values):
+    return values.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches, st.randoms(use_true_random=False))
+def test_kernel_bitwise_invariant_under_row_permutations(batch, rnd):
+    masks = enumerate_subsets(batch.shape[2], batch.shape[2])
+    shuffled = np.stack([item[rnd.sample(range(len(item)), len(item))] for item in batch])
+    assert bits(_norms_for_masks(shuffled, masks)) == bits(_norms_for_masks(batch, masks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches, st.data())
+def test_kernel_bitwise_invariant_under_batch_splits(batch, data):
+    masks = enumerate_subsets(batch.shape[2], batch.shape[2])
+    whole = _norms_for_masks(batch, masks)
+    cut = data.draw(st.integers(0, len(batch)))
+    parts = [part for part in (batch[:cut], batch[cut:]) if len(part)]
+    split = np.concatenate([_norms_for_masks(part, masks) for part in parts])
+    assert bits(split) == bits(whole)
+    singles = [_norms_for_masks(item[None], masks)[0] for item in batch]
+    assert bits(np.array(singles)) == bits(whole)

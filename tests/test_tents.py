@@ -5,6 +5,8 @@ midpoint Riemann sums over the evaluation formula), plus closed-form values
 worked out from the pair-factor definition.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -12,6 +14,7 @@ from scipy import integrate
 from unicube import (RandomStream, Sample, all_tent_norms, enumerate_subsets,
                      null_norm_mean, pair_factor, tent_eval, tent_norm,
                      uniform_sample)
+from unicube.tents import _norms_for_masks
 
 
 def bridge_cross_integral(u, v):
@@ -160,6 +163,23 @@ class TestAllTentNorms:
                  0b011: 0b011, 0b101: 0b110, 0b110: 0b101, 0b111: 0b111}
         for mask, target in remap.items():
             assert a[mask] == pytest.approx(b[target], rel=1e-12)
+
+
+class TestKernelMemory:
+    # The kernel holds one tile of factors and at most h products at a time;
+    # keeping every subset product over all n(n+1)/2 pairs would need about
+    # 470 MB and 440 MB for these batches.
+    @pytest.mark.parametrize("shape,h", [((256, 200, 3), 3), ((256, 50, 10), 3)])
+    def test_peak_bounded(self, shape, h):
+        batch = np.random.default_rng(0).random(shape)
+        masks = enumerate_subsets(shape[2], h)
+        tracemalloc.start()
+        try:
+            _norms_for_masks(batch, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
 
 class TestTentEval:

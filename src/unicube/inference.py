@@ -37,10 +37,10 @@ CACHE_MAGIC = "unicube-null v1"
 FINITE_MODES = ("m", "s")
 ASYMPTOTIC_MODES = ("m-as", "s-as")
 
-#: Replicates per work unit when building references. Each replicate owns
-#: its own sub-stream, and the kernel reduces each row on its own over a
-#: fixed pair tile, so neither the grouping nor the thread count changes a
-#: bit of the output.
+#: Samples per work unit, for null replicates and power trials alike. Each
+#: sample owns its own sub-stream, and the kernel reduces each row on its own
+#: over a fixed pair tile, so neither the grouping nor the thread count
+#: changes a bit of the output.
 _REPLICATE_BATCH = 256
 
 #: Largest null statistic matrix (R x #subsets float64 values, in bytes) that
@@ -100,6 +100,19 @@ class TestReport:
         return "reject" if self.reject else "not-reject"
 
 
+def _run_units(count: int, fill, threads: int) -> None:
+    """Call ``fill(start, stop)`` on each work unit of ``_REPLICATE_BATCH``
+    samples in ``range(count)``, on a thread pool when there are several."""
+    units = [(s, min(s + _REPLICATE_BATCH, count))
+             for s in range(0, count, _REPLICATE_BATCH)]
+    if threads > 1 and len(units) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda unit: fill(*unit), units))
+    else:
+        for unit in units:
+            fill(*unit)
+
+
 def null_statistic_matrix(
     stream: RandomStream,
     n: int,
@@ -116,19 +129,11 @@ def null_statistic_matrix(
     out = np.empty((replicates, len(masks)))
 
     def fill(start: int, stop: int) -> None:
-        batch = np.empty((stop - start, n, p))
-        for r in range(start, stop):
-            batch[r - start] = stream.child(r).generator().random((n, p))
+        batch = np.stack([stream.child(r).generator().random((n, p))
+                          for r in range(start, stop)])
         out[start:stop] = _norms_for_masks(batch, masks)
 
-    spans = [(s, min(s + _REPLICATE_BATCH, replicates))
-             for s in range(0, replicates, _REPLICATE_BATCH)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        for span in spans:
-            fill(*span)
+    _run_units(replicates, fill, threads)
     return out
 
 
@@ -151,17 +156,18 @@ def build_null_reference(
     return NullReference(n=n, p=p, h=h, R=R, seed=stream.seed, norms=norms)
 
 
-def phat(reference: NullReference, mask: int, observed: float) -> float:
+def phat(reference: NullReference, mask: int, observed):
     """Monte Carlo p-value estimate (#{null > observed} + 1) / (R + 1).
 
     Strictly greater: ties between the observed value and null draws do not
-    count.
+    count. An array of observed values gives an array of p-values.
     """
     vec = reference.norms.get(mask)
     if vec is None:
         raise ValueError(f"subset {mask:#x} not present in the reference")
-    greater = reference.R - int(np.searchsorted(vec, observed, side="right"))
-    return (greater + 1) / (reference.R + 1)
+    greater = reference.R - np.searchsorted(vec, observed, side="right")
+    pvals = (greater + 1) / (reference.R + 1)
+    return float(pvals) if np.ndim(pvals) == 0 else pvals
 
 
 def _minp_threshold(alpha: float, family_size: int) -> float:
@@ -171,34 +177,27 @@ def _minp_threshold(alpha: float, family_size: int) -> float:
     return 1.0 - (1.0 - alpha) ** (1.0 / family_size)
 
 
-def _decide(mode: str, pvals: dict[int, float], alpha: float) -> tuple[float, float, bool]:
+def _decide(mode: str, pvals: np.ndarray, alpha: float) -> tuple[float, float, bool]:
     """Aggregate, threshold and decision of the m or s rule (finite or
-    asymptotic) on one family of per-subset p-values.
+    asymptotic) on one family of per-subset p-values, a 1-D array.
 
     The s rule maps every 1 - p through the one-degree chi-square quantile in
     one call (1 - p = 0 maps to 0, and 1 - p = 1 to inf) and compares the sum
     with the quantile of 1 - alpha, taken by the same function so that a
     single-subset family ties with the m rule at p == alpha.
     """
-    family_size = len(pvals)
+    family_size = pvals.shape[0]
     if mode.startswith("m"):
-        aggregate = min(pvals.values())
+        aggregate = float(pvals.min())
         threshold = _minp_threshold(alpha, family_size)
         return aggregate, threshold, aggregate < threshold
-    u = 1.0 - np.fromiter(pvals.values(), dtype=np.float64, count=family_size)
+    u = 1.0 - pvals
     q = np.where(u >= 1.0, math.inf, 0.0)
     inner = (u > 0.0) & (u < 1.0)
     q[inner] = chisq_quantile(u[inner], 1)
     aggregate = math.fsum(q)
     threshold = chisq_quantile(1.0 - alpha, family_size)
     return aggregate, threshold, aggregate > threshold
-
-
-def _check_match(sample: Sample, reference: NullReference) -> None:
-    if sample.n != reference.n or sample.p != reference.p:
-        raise ValueError(
-            f"reference built for (n={reference.n}, p={reference.p}) cannot score "
-            f"a sample with (n={sample.n}, p={sample.p})")
 
 
 def run_tests(
@@ -217,16 +216,18 @@ def run_tests(
     unknown = [m for m in modes if m not in FINITE_MODES]
     if unknown:
         raise ValueError(f"unknown finite-sample mode(s) {unknown}; use 'm' or 's'")
-    _check_match(sample, reference)
-    norms = all_tent_norms(sample, reference.h)
-    stats = norms.norms
+    if sample.n != reference.n or sample.p != reference.p:
+        raise ValueError(
+            f"reference built for (n={reference.n}, p={reference.p}) cannot score "
+            f"a sample with (n={sample.n}, p={sample.p})")
+    stats = all_tent_norms(sample, reference.h).norms
     pvals = {mask: phat(reference, mask, stat) for mask, stat in stats.items()}
     common = dict(statistics=stats, p_values=pvals, alpha=alpha, n=sample.n,
                   p=sample.p, h=reference.h, R=reference.R, seed=reference.seed)
     reports: dict[str, TestReport] = {}
     for mode in FINITE_MODES:
         if mode in modes:
-            aggregate, threshold, reject = _decide(mode, pvals, alpha)
+            aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)
             reports[mode] = TestReport(mode=mode, aggregate=aggregate, threshold=threshold,
                                        reject=reject, **common)
     return reports
@@ -277,11 +278,10 @@ def asymptotic_test(
     missing = [k for k in range(1, p + 1) if k not in tables]
     if missing:
         raise ValueError(f"missing limiting-norm tables for cardinalities {missing}")
-    norms = all_tent_norms(sample, p)
-    stats = norms.norms
+    stats = all_tent_norms(sample, p).norms
     pvals = {mask: 1.0 - asymptotic_cdf(tables[mask.bit_count()], stat)
              for mask, stat in stats.items()}
-    aggregate, threshold, reject = _decide(mode, pvals, alpha)
+    aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)
     return TestReport(mode=mode, statistics=stats, p_values=pvals, aggregate=aggregate,
                       threshold=threshold, alpha=alpha, reject=reject, n=sample.n, p=p,
                       h=p, R=tables[1].draws.shape[0], seed=tables[1].seed)

@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .alternatives import AlternativeSpec, sample_alternative
-from .core import RandomStream
-from .inference import NullReference, build_null_reference, run_tests
-
-CSV_HEADER = ("table", "alternative", "param", "n", "h", "mode", "power", "se",
-              "trials", "R", "seed", "paper_ref_value")
-
-_TRIAL_BATCH = 16
+from .core import RandomStream, enumerate_subsets
+from .inference import (FINITE_MODES, NullReference, _decide, _run_units,
+                        build_null_reference, phat)
+from .tents import _norms_for_masks
 
 
 @dataclass(frozen=True)
@@ -48,6 +44,9 @@ class PowerExperiment:
             raise ValueError("alpha must be in (0, 1)")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for mode in self.modes:
+            if mode not in FINITE_MODES:
+                raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")
         if self.h is None:
             object.__setattr__(self, "h", self.alternative.p)
 
@@ -72,7 +71,9 @@ def estimate_power(
 
     The null reference is built once (from sub-stream 0 of the experiment
     seed) and shared by every trial; trial t draws its sample from
-    sub-stream 1 + t, so estimates are deterministic for any thread count.
+    sub-stream 1 + t. Trials are scored in the work units of the reference
+    build, keeping one reject bit per mode (that of ``run_tests`` on the same
+    sample), so estimates are deterministic for any thread count.
     """
     root = RandomStream(experiment.seed)
     p = experiment.alternative.p
@@ -84,24 +85,21 @@ def estimate_power(
         raise ValueError("supplied reference does not match the experiment configuration")
 
     trials = experiment.trials
+    masks = enumerate_subsets(p, experiment.h)
     rejected = {mode: np.zeros(trials, dtype=bool) for mode in experiment.modes}
 
-    def run_span(start: int, stop: int) -> None:
-        for t in range(start, stop):
-            sample = sample_alternative(root.child(1 + t), experiment.alternative,
-                                        experiment.n)
-            reports = run_tests(sample, reference, experiment.alpha,
-                                modes=experiment.modes)
-            for mode, report in reports.items():
-                rejected[mode][t] = report.reject
+    def fill(start: int, stop: int) -> None:
+        batch = np.stack([sample_alternative(root.child(1 + t), experiment.alternative,
+                                             experiment.n).data
+                          for t in range(start, stop)])
+        stats = _norms_for_masks(batch, masks)
+        pvals = np.column_stack([phat(reference, mask, stats[:, i])
+                                 for i, mask in enumerate(masks)])
+        for t, family in enumerate(pvals, start):
+            for mode, bits in rejected.items():
+                bits[t] = _decide(mode, family, experiment.alpha)[2]
 
-    spans = [(s, min(s + _TRIAL_BATCH, trials)) for s in range(0, trials, _TRIAL_BATCH)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: run_span(*span), spans))
-    else:
-        for span in spans:
-            run_span(*span)
+    _run_units(trials, fill, threads)
 
     out = {}
     for mode in experiment.modes:
@@ -202,10 +200,8 @@ class ResultRow:
     seed: int
     paper_ref_value: str
 
-    def as_tuple(self) -> tuple:
-        return (self.table, self.alternative, self.param, self.n, self.h, self.mode,
-                self.power, self.se, self.trials, self.R, self.seed,
-                self.paper_ref_value)
+
+CSV_HEADER = tuple(field.name for field in fields(ResultRow))
 
 
 def _param_string(spec: AlternativeSpec) -> str:
@@ -359,5 +355,5 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow(row.as_tuple())
+        writer.writerow(astuple(row))
     return buf.getvalue()

@@ -194,13 +194,13 @@ class TestDecisionPins:
     @pytest.mark.parametrize("f", [1, 3, 63])
     @pytest.mark.parametrize("pv", [1 / 1000, 0.05, 0.5, 1.0])
     def test_sum_transform(self, f, pv):
-        aggregate, _, _ = _decide("s", dict.fromkeys(range(1, f + 1), pv), 0.05)
+        aggregate, _, _ = _decide("s", np.full(f, pv), 0.05)
         assert aggregate == pytest.approx(f * stats.chi2.isf(pv, 1), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("f", [1, 3, 63])
     @pytest.mark.parametrize("alpha", [1 / 1000, 0.05, 0.5])
     def test_threshold(self, f, alpha):
-        _, threshold, _ = _decide("s", dict.fromkeys(range(1, f + 1), 0.5), alpha)
+        _, threshold, _ = _decide("s", np.full(f, 0.5), alpha)
         assert threshold == pytest.approx(stats.chi2.isf(alpha, f), rel=1e-12, abs=0.0)
 
 

@@ -2,12 +2,15 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from unicube import (AlternativeSpec, PowerExperiment, estimate_power,
-                     rows_to_csv, run_table)
+import unicube.inference
+from unicube import (AlternativeSpec, PowerExperiment, RandomStream,
+                     build_null_reference, estimate_power, rows_to_csv, run_table,
+                     run_tests, sample_alternative)
 from unicube.power import CSV_HEADER
 
 
@@ -33,12 +36,46 @@ class TestEstimatePower:
             slack = 2.0 * np.hypot(strong[mode].se, weak[mode].se)
             assert strong[mode].power >= weak[mode].power - slack
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
         exp = experiment(AlternativeSpec("fgm", theta=1.0), trials=60, R=99)
         a = estimate_power(exp)
         b = estimate_power(exp)
         c = estimate_power(exp, threads=3)
         assert a == b == c
+        for batch in (1, 7):
+            monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", batch)
+            for threads in (1, 2, 3):
+                assert estimate_power(exp, threads=threads) == a
+
+    @pytest.mark.parametrize("spec,n,h,R", [
+        (AlternativeSpec("clayton", theta=2.0), 25, None, 199),
+        (AlternativeSpec("normal-copula", p=6, rho=0.3), 50, 2, 499),
+    ])
+    def test_each_decision_matches_run_tests(self, spec, n, h, R):
+        # Oracle: trial t scored on its own by run_tests. The batched path
+        # only reports counts, so trial t's decision is read as the change in
+        # the count when the cell grows from t to t + 1 trials.
+        trials = 24
+        exp = experiment(spec, n=n, trials=trials, h=h, R=R)
+        root = RandomStream(exp.seed)
+        reference = build_null_reference(root.child(0), n, spec.p, exp.h, R)
+        counts = [{"m": 0, "s": 0}]
+        for t in range(1, trials + 1):
+            out = estimate_power(replace(exp, trials=t), reference=reference)
+            counts.append({mode: est.rejections for mode, est in out.items()})
+        seen = {"m": set(), "s": set()}
+        for t in range(trials):
+            sample = sample_alternative(root.child(1 + t), spec, n)
+            reports = run_tests(sample, reference, exp.alpha)
+            for mode in ("m", "s"):
+                assert counts[t + 1][mode] - counts[t][mode] == reports[mode].reject
+                seen[mode].add(reports[mode].reject)
+        assert seen == {"m": {False, True}, "s": {False, True}}
+
+    @pytest.mark.parametrize("modes", [("m-as",), ("x",), ("m", "s-as")])
+    def test_unknown_mode_rejected_at_construction(self, modes):
+        with pytest.raises(ValueError, match=repr(modes[-1])):
+            PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=modes)
 
     def test_rejection_counts_pinned(self):
         # One small cell of the published grid, pinned end to end: sampling,
@@ -50,7 +87,6 @@ class TestEstimatePower:
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
 
     def test_mismatched_reference_rejected(self):
-        from unicube import RandomStream, build_null_reference
         exp = experiment(AlternativeSpec("uniform", p=2), trials=10, R=49)
         wrong = build_null_reference(RandomStream(5), n=11, p=2, h=2, R=49)
         with pytest.raises(ValueError):

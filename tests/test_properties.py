@@ -40,6 +40,22 @@ def test_phat_does_not_increase_with_observed(vec, x, y):
     assert phat(ref, 1, hi) <= phat(ref, 1, lo)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sorted_vectors, st.data())
+def test_phat_on_an_array_equals_scalar_calls(vec, data):
+    # Observed values drawn from the null draws themselves (ties), from
+    # beyond both ends, and anywhere else.
+    ref = reference(vec)
+    element = st.one_of(st.sampled_from(vec.tolist()),
+                        st.sampled_from([vec[0] - 1.0, vec[-1] + 1.0, -np.inf, np.inf]),
+                        finite)
+    observed = np.array(data.draw(st.lists(element, min_size=1, max_size=30)))
+    batched = phat(ref, 1, observed)
+    scalar = np.array([phat(ref, 1, float(x)) for x in observed])
+    assert batched.dtype == np.float64
+    assert batched.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
 # Up to 40 rows, so that some batches span more than one pair tile.
 batches = st.tuples(st.integers(1, 5), st.integers(1, 40), st.integers(1, 4)).flatmap(
     lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))

@@ -3,8 +3,9 @@
 Commands: ``test`` scores a CSV data file, ``null`` precomputes a null
 reference cache, ``power`` runs power studies, ``diagnose`` exercises the
 decomposition and simulation machinery. Exit codes for ``test``: 0 the
-sample is not rejected, 1 it is rejected, 2 error. Reruns with identical
-flags and inputs produce identical primary outputs.
+sample is not rejected, 1 it is rejected, 2 error (running out of memory
+included). Reruns with identical flags and inputs produce identical primary
+outputs.
 """
 
 from __future__ import annotations
@@ -355,9 +356,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        return _fail(f"out of memory: {detail}" if detail else "out of memory")
 
 
 if __name__ == "__main__":

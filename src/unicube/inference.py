@@ -102,11 +102,13 @@ class TestReport:
 
 def _run_units(count: int, fill, threads: int) -> None:
     """Call ``fill(start, stop)`` on each work unit of ``_REPLICATE_BATCH``
-    samples in ``range(count)``, on a thread pool when there are several."""
+    samples in ``range(count)``, on a thread pool when there are several.
+    The pool has at most one worker per unit and per CPU."""
     units = [(s, min(s + _REPLICATE_BATCH, count))
              for s in range(0, count, _REPLICATE_BATCH)]
-    if threads > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda unit: fill(*unit), units))
     else:
         for unit in units:
@@ -177,27 +179,39 @@ def _minp_threshold(alpha: float, family_size: int) -> float:
     return 1.0 - (1.0 - alpha) ** (1.0 / family_size)
 
 
-def _decide(mode: str, pvals: np.ndarray, alpha: float) -> tuple[float, float, bool]:
+def _decide(mode: str, pvals: np.ndarray, alpha: float):
     """Aggregate, threshold and decision of the m or s rule (finite or
-    asymptotic) on one family of per-subset p-values, a 1-D array.
+    asymptotic) on per-subset p-values.
 
-    The s rule maps every 1 - p through the one-degree chi-square quantile in
-    one call (1 - p = 0 maps to 0, and 1 - p = 1 to inf) and compares the sum
-    with the quantile of 1 - alpha, taken by the same function so that a
-    single-subset family ties with the m rule at p == alpha.
+    ``pvals`` is one family, a 1-D array, which gives a float aggregate, a
+    float threshold and a bool; or a block of families, one per row, which
+    gives an array of aggregates, the threshold shared by every row and an
+    array of decisions. The s rule maps every 1 - p through the one-degree
+    chi-square quantile (1 - p = 0 maps to 0, and 1 - p = 1 to inf), once per
+    distinct value of the block (a Monte Carlo p-value takes at most R + 1
+    values), sums each row with ``math.fsum`` and compares the sums with the
+    quantile of 1 - alpha, taken by the same function so that a single-subset
+    family ties with the m rule at p == alpha. The quantile is elementwise,
+    so a row decides the same bits in any block.
     """
-    family_size = pvals.shape[0]
+    block = np.atleast_2d(pvals)
+    family_size = block.shape[1]
     if mode.startswith("m"):
-        aggregate = float(pvals.min())
+        aggregate = block.min(axis=1)
         threshold = _minp_threshold(alpha, family_size)
-        return aggregate, threshold, aggregate < threshold
-    u = 1.0 - pvals
-    q = np.where(u >= 1.0, math.inf, 0.0)
-    inner = (u > 0.0) & (u < 1.0)
-    q[inner] = chisq_quantile(u[inner], 1)
-    aggregate = math.fsum(q)
-    threshold = chisq_quantile(1.0 - alpha, family_size)
-    return aggregate, threshold, aggregate > threshold
+        reject = aggregate < threshold
+    else:
+        u = 1.0 - block
+        distinct = np.unique(u)
+        q = np.where(distinct >= 1.0, math.inf, 0.0)
+        inner = (distinct > 0.0) & (distinct < 1.0)
+        q[inner] = chisq_quantile(distinct[inner], 1)
+        aggregate = np.array([math.fsum(row) for row in q[np.searchsorted(distinct, u)]])
+        threshold = chisq_quantile(1.0 - alpha, family_size)
+        reject = aggregate > threshold
+    if np.ndim(pvals) == 1:
+        return float(aggregate[0]), threshold, bool(reject[0])
+    return aggregate, threshold, reject
 
 
 def run_tests(
@@ -310,7 +324,7 @@ def _format_cache(n: int, p: int, h: int, R: int, seed: int,
         config += f" scheme={scheme}"
     lines = [CACHE_MAGIC, config]
     for mask, vec in vectors.items():
-        body = " ".join("%.17g" % v for v in vec)
+        body = " ".join(map("%.17g".__mod__, vec.tolist()))
         lines.append(f"H={mask:x} : {body}")
     return "\n".join(lines) + "\n"
 

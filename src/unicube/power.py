@@ -72,8 +72,10 @@ def estimate_power(
     The null reference is built once (from sub-stream 0 of the experiment
     seed) and shared by every trial; trial t draws its sample from
     sub-stream 1 + t. Trials are scored in the work units of the reference
-    build, keeping one reject bit per mode (that of ``run_tests`` on the same
-    sample), so estimates are deterministic for any thread count.
+    build, and each mode decides a whole unit in one ``_decide`` call on its
+    (trials, #subsets) block of p-values, keeping one reject bit per trial
+    (that of ``run_tests`` on the same sample), so estimates are
+    deterministic for any thread count or unit size.
     """
     root = RandomStream(experiment.seed)
     p = experiment.alternative.p
@@ -95,9 +97,8 @@ def estimate_power(
         stats = _norms_for_masks(batch, masks)
         pvals = np.column_stack([phat(reference, mask, stats[:, i])
                                  for i, mask in enumerate(masks)])
-        for t, family in enumerate(pvals, start):
-            for mode, bits in rejected.items():
-                bits[t] = _decide(mode, family, experiment.alpha)[2]
+        for mode, bits in rejected.items():
+            bits[start:stop] = _decide(mode, pvals, experiment.alpha)[2]
 
     _run_units(trials, fill, threads)
 

@@ -206,6 +206,38 @@ class TestCmdNull:
         assert not (tmp_path / "ref.txt").exists()
 
 
+class TestExitCodes:
+    """Exit 1 means a rejected sample and nothing else."""
+
+    def test_memory_error_exits_2(self, uniform_csv, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array\nwith shape (999, 1048575)")
+
+        monkeypatch.setattr("unicube.cli.build_null_reference", exhausted)
+        code = main(["test", str(uniform_csv), "--R", "49"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "decision:" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: out of memory: Unable to allocate 8.00 GiB")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["test", "{csv}", "--R", "49"],
+        ["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9", "--out", "{out}"],
+        ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
+         "--R", "19"],
+    ])
+    def test_threads_below_one_refused(self, uniform_csv, tmp_path, capsys, command,
+                                       threads):
+        argv = [arg.format(csv=uniform_csv, out=tmp_path / "ref.txt") for arg in command]
+        assert main(argv + ["--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--threads must be >= 1, got {threads}" in captured.err
+        assert not (tmp_path / "ref.txt").exists()
+
+
 class TestCmdPower:
     def test_copulas_dry_run_row_count(self, capsys):
         assert main(["power", "--table", "copulas", "--trials", "0"]) == 0

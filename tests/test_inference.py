@@ -95,6 +95,47 @@ class TestGroupingInvariance:
             assert np.array_equal(row.view(np.int64), matrix[r].view(np.int64))
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the work-unit thread pool by one that records its size and runs
+    the units serially, so that no thread is started whatever the thread
+    count asked for. Returns the list of recorded sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(unicube.inference, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestWorkerCap:
+    """``_run_units`` starts at most one worker per unit and per CPU."""
+
+    @pytest.mark.parametrize("threads,replicates,workers", [
+        (10**9, 9, 4), (3, 9, 3), (10**9, 2, 2), (2, 1, None), (1, 9, None)])
+    def test_pool_size(self, monkeypatch, recording_pool, threads, replicates, workers):
+        monkeypatch.setattr(unicube.inference.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", 1)
+        stream = RandomStream(23)
+        masks = enumerate_subsets(2, 2)
+        out = unicube.inference.null_statistic_matrix(stream, 10, 2, masks, replicates,
+                                                      threads=threads)
+        assert recording_pool == ([] if workers is None else [workers])
+        serial = unicube.inference.null_statistic_matrix(stream, 10, 2, masks, replicates)
+        assert np.array_equal(out.view(np.int64), serial.view(np.int64))
+
+
 class TestPhat:
     def test_observed_below_all(self):
         ref = synthetic_reference([1.0, 2.0, 3.0])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import unicube.inference
+import unicube.special
 from unicube import (AlternativeSpec, PowerExperiment, RandomStream,
                      build_null_reference, estimate_power, rows_to_csv, run_table,
                      run_tests, sample_alternative)
@@ -84,6 +85,30 @@ class TestEstimatePower:
         exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=50,
                               trials=40, R=199, seed=5)
         out = estimate_power(exp)
+        assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
+
+    @pytest.mark.parametrize("batch", [256, 16])
+    def test_one_quantile_pass_per_unit(self, monkeypatch, batch):
+        # Each work unit decides all its trials at once: one transform call
+        # on at most R distinct values 1 - (k + 1)/(R + 1) and one threshold
+        # call, whatever the number of trials in the unit.
+        exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=50,
+                              trials=40, R=199, seed=5)
+        reference = build_null_reference(RandomStream(5).child(0), 50, 6, 6, 199)
+        calls = []
+
+        def counted(u, f):
+            calls.append((np.ndim(u), np.size(u)))
+            return unicube.special.chisq_quantile(u, f)
+
+        monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", batch)
+        monkeypatch.setattr(unicube.inference, "chisq_quantile", counted)
+        out = estimate_power(exp, reference=reference)
+        units = -(-exp.trials // batch)
+        transforms = [size for ndim, size in calls if ndim == 1]
+        assert len(calls) == 2 * units
+        assert len(transforms) == units
+        assert max(transforms) <= exp.R
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
 
     def test_mismatched_reference_rejected(self):

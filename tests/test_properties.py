@@ -1,5 +1,5 @@
-"""Property tests of the cache round trip, of the Monte Carlo p-value and of
-the bitwise invariances of the tents kernel."""
+"""Property tests of the cache round trip, of the Monte Carlo p-value, of the
+bitwise invariances of the tents kernel and of the decision rules on blocks."""
 
 import os
 import tempfile
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from unicube import NullReference, enumerate_subsets, load_reference, phat, save_reference
+from unicube.inference import _decide
 from unicube.tents import _norms_for_masks
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -84,3 +85,24 @@ def test_kernel_bitwise_invariant_under_batch_splits(batch, data):
     assert bits(split) == bits(whole)
     singles = [_norms_for_masks(item[None], masks)[0] for item in batch]
     assert bits(np.array(singles)) == bits(whole)
+
+
+# Blocks of Monte Carlo p-values j / (R + 1), j = 1..R+1, plus 0 (an asymptotic
+# p-value beyond the largest table draw): families share many values.
+pvalue_blocks = st.tuples(st.integers(1, 999), st.integers(1, 8), st.integers(1, 70)).flatmap(
+    lambda shape: hnp.arrays(np.int64, shape[1:], elements=st.integers(0, shape[0] + 1))
+    .map(lambda j: j / (shape[0] + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pvalue_blocks, st.sampled_from(["m", "s"]),
+       st.one_of(st.sampled_from([0.001, 0.05, 0.5]), st.floats(1e-6, 1.0 - 1e-6)))
+def test_decide_on_a_block_equals_each_row(block, mode, alpha):
+    aggregates, threshold, rejects = _decide(mode, block, alpha)
+    assert aggregates.shape == rejects.shape == (block.shape[0],)
+    for row, aggregate, reject in zip(block, aggregates, rejects):
+        one = _decide(mode, row, alpha)
+        assert type(one[0]) is float and type(one[2]) is bool
+        assert bits(np.array([one[0]])) == bits(np.array([aggregate]))
+        assert bits(np.array([one[1]])) == bits(np.array([threshold]))
+        assert one[2] == reject

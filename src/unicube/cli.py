@@ -3,9 +3,9 @@
 Commands: ``test`` scores a CSV data file, ``null`` precomputes a null
 reference cache, ``power`` runs power studies, ``diagnose`` exercises the
 decomposition and simulation machinery. Exit codes for ``test``: 0 the
-sample is not rejected, 1 it is rejected, 2 error (running out of memory
-included). Reruns with identical flags and inputs produce identical primary
-outputs.
+sample is not rejected, 1 it is rejected, 2 any error (running out of memory
+and internal errors included). Reruns with identical flags and inputs
+produce identical primary outputs.
 """
 
 from __future__ import annotations
@@ -364,6 +364,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = " ".join(str(exc).split())
         return _fail(f"out of memory: {detail}" if detail else "out of memory")
+    except Exception as exc:  # exit 1 from ``test`` must mean a reject only
+        return _fail(" ".join(f"{type(exc).__name__}: {exc}".split()))
 
 
 if __name__ == "__main__":

@@ -17,12 +17,14 @@ bit-exact float round trip.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -306,7 +308,9 @@ def asymptotic_test(
 # tables: a magic line, a configuration line, then one sorted float vector
 # per subset at 17 significant digits (bit-exact round trip). Files are
 # written to a temporary name and renamed into place, so a concurrent reader
-# sees the old file or the complete new one.
+# sees the old file or the complete new one. A binary sidecar ``.<name>.bin``
+# (layout in README) spares warm loads the decimal parse; the text stays
+# authoritative, and a sidecar that does not match it is ignored.
 # ---------------------------------------------------------------------------
 
 def reference_filename(n: int, p: int, h: int, R: int, seed: int) -> str:
@@ -329,8 +333,36 @@ def _format_cache(n: int, p: int, h: int, R: int, seed: int,
     return "\n".join(lines) + "\n"
 
 
-def _parse_cache(text: str, where: str) -> tuple[dict[str, int], dict[int, np.ndarray]]:
-    lines = text.splitlines()
+def _sidecar_path(path) -> Path:
+    return Path(path).with_name(f".{Path(path).name}.bin")
+
+
+def _sidecar_vectors(sidecar: bytes, data: bytes, start: int, R: int) -> dict | None:
+    """The vectors of a sidecar made from ``data``, the text bytes whose subset
+    lines begin at ``start``, if they pass the text path's checks."""
+    if len(sidecar) < 48 or sidecar[:32] != hashlib.sha256(data).digest():
+        return None
+    S, stored_R = np.frombuffer(sidecar, "<u8", 2, 32).tolist()
+    if stored_R != R or len(sidecar) != 48 + 8 * S * (R + 1):
+        return None
+    masks = np.frombuffer(sidecar, "<u8", S, 48).tolist()
+    values = np.frombuffer(sidecar, "<f8", S * R, 48 + 8 * S).reshape(S, R)
+    pos = start
+    for mask in masks:  # one line per mask, in the text's order, and no other
+        if not data.startswith(b"H=%x :" % mask, pos):
+            return None
+        pos = data.find(b"\n", pos) + 1
+    if pos != len(data) or not np.all(np.isfinite(values)) or np.any(
+            values[:, 1:] < values[:, :-1]):
+        return None
+    return dict(zip(masks, values))
+
+
+def _parse_cache(data: bytes, sidecar: bytes,
+                 where: str) -> tuple[dict[str, int], dict[int, np.ndarray]]:
+    """Configuration and vectors from a cache file's bytes and its sidecar's."""
+    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # past the configuration line
+    lines = (data[:start] if start else data).decode("utf-8").splitlines()
     if not lines or lines[0] != CACHE_MAGIC:
         raise ValueError(f"{where}: not a cache file (bad magic line)")
     if len(lines) < 2:
@@ -342,8 +374,11 @@ def _parse_cache(text: str, where: str) -> tuple[dict[str, int], dict[int, np.nd
     for key in ("n", "p", "h", "R", "seed"):
         if key not in config:
             raise ValueError(f"{where}: configuration line lacks {key}=")
-    vectors: dict[int, np.ndarray] = {}
-    for line in lines[2:]:
+    vectors = _sidecar_vectors(sidecar, data, start, config["R"])
+    if vectors is not None:
+        return config, vectors
+    vectors = {}
+    for line in data.decode("utf-8").splitlines()[2:]:
         if not line.strip():
             continue
         head, _, body = line.partition(":")
@@ -365,14 +400,14 @@ def _parse_cache(text: str, where: str) -> tuple[dict[str, int], dict[int, np.nd
     return config, vectors
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file next to ``path``, then rename it
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path``, then rename it
     over ``path``. On failure the temporary file is removed and any existing
     ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -380,14 +415,33 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
+def _save_cache(path, vectors: dict[int, np.ndarray], *config, scheme=None) -> None:
+    """Write the text file, then its sidecar. A failure in between leaves an
+    older sidecar, which no longer matches the text's digest."""
+    data = _format_cache(*config, vectors, scheme=scheme).encode("utf-8")
+    values = np.array(list(vectors.values()), dtype="<f8")
+    index = np.array([len(vectors), values.shape[-1], *vectors], dtype="<u8")
+    _write_atomic(path, data)
+    _write_atomic(_sidecar_path(path), hashlib.sha256(data).digest() + index.tobytes()
+                  + values.tobytes())
+
+
+def _read_cache(path) -> tuple[bytes, bytes]:
+    """The bytes of a cache file and of its sidecar (empty if unreadable)."""
+    data = Path(path).read_bytes()
+    try:
+        return data, _sidecar_path(path).read_bytes()
+    except OSError:
+        return data, b""
+
+
 def save_reference(reference: NullReference, path) -> None:
-    _write_atomic(path, _format_cache(reference.n, reference.p, reference.h,
-                                      reference.R, reference.seed, reference.norms))
+    _save_cache(path, reference.norms, reference.n, reference.p, reference.h,
+                reference.R, reference.seed)
 
 
 def load_reference(path) -> NullReference:
-    with open(path, "r", encoding="utf-8") as fh:
-        config, vectors = _parse_cache(fh.read(), str(path))
+    config, vectors = _parse_cache(*_read_cache(path), str(path))
     expected = enumerate_subsets(config["p"], config["h"])
     if list(vectors) != expected:
         raise ValueError(f"{path}: subset lines do not match the (p, h) enumeration")
@@ -403,16 +457,13 @@ def save_table(table: AsymptoticNormTable, path) -> None:
     ``scheme`` token records the stream layout of the draws (see
     :data:`unicube.brownian.TABLE_SCHEME`).
     """
-    _write_atomic(path, _format_cache(table.nu_max, table.k, table.k,
-                                      table.draws.shape[0], table.seed,
-                                      {(1 << table.k) - 1: table.draws},
-                                      scheme=TABLE_SCHEME))
+    _save_cache(path, {(1 << table.k) - 1: table.draws}, table.nu_max, table.k, table.k,
+                table.draws.shape[0], table.seed, scheme=TABLE_SCHEME)
 
 
 def load_table(path) -> AsymptoticNormTable:
     """Read a limiting-norm table; tables of another stream layout are refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config, vectors = _parse_cache(fh.read(), str(path))
+    config, vectors = _parse_cache(*_read_cache(path), str(path))
     scheme = config.get("scheme")
     if scheme != TABLE_SCHEME:
         found = "no scheme token" if scheme is None else f"scheme={scheme}"

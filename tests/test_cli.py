@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from unicube import RandomStream, uniform_sample
+from unicube.brownian import default_nu_max
 from unicube.cli import main
+from unicube.inference import table_filename
 
 
 def write_csv(path, data, header=None):
@@ -64,19 +66,20 @@ class TestCmdTest:
                 "--null-cache", str(cache)]
         code_a = main(args)
         out_a = capsys.readouterr().out
-        files = os.listdir(cache)
-        assert files == ["null_n50_p2_h2_R99_s5.txt"]
-        stamp = (cache / files[0]).read_bytes()
+        files = sorted(os.listdir(cache))
+        assert files == [".null_n50_p2_h2_R99_s5.txt.bin", "null_n50_p2_h2_R99_s5.txt"]
+        stamps = [(cache / name).read_bytes() for name in files]
         code_b = main(args)
         out_b = capsys.readouterr().out
         assert (code_a, out_a) == (code_b, out_b)
-        assert (cache / files[0]).read_bytes() == stamp
+        assert [(cache / name).read_bytes() for name in files] == stamps
 
     def test_env_var_cache(self, uniform_csv, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("UNICUBE_CACHE", str(cache))
         main(["test", str(uniform_csv), "--R", "49", "--seed", "5"])
-        assert os.listdir(cache) == ["null_n50_p2_h2_R49_s5.txt"]
+        assert sorted(os.listdir(cache)) == [".null_n50_p2_h2_R49_s5.txt.bin",
+                                             "null_n50_p2_h2_R49_s5.txt"]
 
     def test_json_lines_output(self, uniform_csv, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -141,7 +144,8 @@ class TestCmdTest:
                 "--null-cache", str(cache)]
         assert main(args + ["--seed", "5"]) in (0, 1)
         capsys.readouterr()
-        (good,) = os.listdir(cache)
+        sidecar, good = sorted(os.listdir(cache))
+        assert sidecar == f".{good}.bin" and good.startswith("asym_k1_")
         # A table file whose name promises a different seed than its content.
         (cache / good.replace("_s5_", "_s6_")).write_bytes((cache / good).read_bytes())
         code = main(args + ["--seed", "6"])
@@ -159,7 +163,61 @@ class TestCmdTest:
         assert code in (0, 1)
         assert "mode=m-as n=50 p=6" in capsys.readouterr().out
         names = sorted(os.listdir(cache))
-        assert [name.split("_")[1] for name in names] == [f"k{k}" for k in range(1, 7)]
+        tables = [table_filename(k, default_nu_max(k), 2000, 4) for k in range(1, 7)]
+        assert names == sorted(tables + [f".{name}.bin" for name in tables])
+
+
+def _listing(cache):
+    """Name, modification time and inode of every file in the cache (a
+    rename into place changes the inode even within one clock tick)."""
+    stats = {name: os.stat(cache / name) for name in os.listdir(cache)}
+    return {name: (st.st_mtime_ns, st.st_ino) for name, st in stats.items()}
+
+
+class TestWarmCache:
+    """Warm calls read the sidecars and never write; the text stays the source
+    of the results."""
+
+    MODES = [["--mode", "both"], ["--mode", "s-as", "--asym-draws", "300"]]
+
+    def run(self, argv, capsys, tmp_path):
+        out = tmp_path / "reports.jsonl"
+        code = main(argv + ["--json", str(out)])
+        return code, capsys.readouterr().out, out.read_bytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cold_warm_and_warm_without_sidecars_agree(self, pointmass_csv, tmp_path,
+                                                       capsys, mode):
+        cache = tmp_path / "cache"
+        argv = ["test", str(pointmass_csv), "--R", "49", "--seed", "5",
+                "--null-cache", str(cache)] + mode
+        cold = self.run(argv, capsys, tmp_path)
+        warm = self.run(argv, capsys, tmp_path)
+        for name in os.listdir(cache):
+            if name.startswith("."):
+                os.remove(cache / name)
+        bare = self.run(argv, capsys, tmp_path)
+        assert cold[0] == 1 and "decision: reject" in cold[1]
+        assert cold == warm == bare
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warm_calls_write_nothing(self, uniform_csv, tmp_path, capsys, mode):
+        cache = tmp_path / "cache"
+        argv = ["test", str(uniform_csv), "--R", "49", "--seed", "5",
+                "--null-cache", str(cache)] + mode
+        main(argv)
+        before = _listing(cache)
+        assert len(before) >= 2 and all(f".{name}.bin" in before
+                                        for name in before if not name.startswith("."))
+        main(argv)
+        assert _listing(cache) == before
+        for name in list(before):
+            if name.startswith("."):
+                os.remove(cache / name)
+                del before[name]
+        main(argv)
+        assert _listing(cache) == before
+        capsys.readouterr()
 
 
 class TestCmdNull:
@@ -185,7 +243,8 @@ class TestCmdNull:
     def test_cache_dir_naming(self, tmp_path):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
                      "--seed", "2", "--cache-dir", str(tmp_path)]) == 0
-        assert os.listdir(tmp_path) == ["null_n5_p1_h1_R9_s2.txt"]
+        assert sorted(os.listdir(tmp_path)) == [".null_n5_p1_h1_R9_s2.txt.bin",
+                                                "null_n5_p1_h1_R9_s2.txt"]
 
     def test_unwritable_path(self, capsys):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
@@ -220,6 +279,17 @@ class TestExitCodes:
         assert "decision:" not in captured.out
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: out of memory: Unable to allocate 8.00 GiB")
+
+    def test_internal_error_exits_2(self, uniform_csv, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("scoring failed\nhalfway")
+
+        monkeypatch.setattr("unicube.cli.run_tests", broken)
+        code = main(["test", str(uniform_csv), "--R", "49"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "decision:" not in captured.out
+        assert captured.err == "error: RuntimeError: scoring failed halfway\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", [

@@ -350,6 +350,103 @@ class TestCacheRoundTrip:
             load_table(path)
 
 
+def _sidecar_of(path):
+    return path.parent / f".{path.name}.bin"
+
+
+def _resealed(path, edit):
+    """The sidecar of ``path`` with ``edit`` applied to its (S, R) values; the
+    digest of the text is left valid."""
+    blob = bytearray(_sidecar_of(path).read_bytes())
+    S, R = np.frombuffer(bytes(blob), "<u8", 2, 32)
+    values = np.frombuffer(bytes(blob), "<f8", S * R, 48 + 8 * int(S)).reshape(S, R).copy()
+    edit(values)
+    blob[48 + 8 * int(S):] = values.astype("<f8").tobytes()
+    return bytes(blob)
+
+
+def _put_value_nan(values):
+    values[0, 3] = np.nan
+
+
+def _reverse_first_row(values):
+    values[0] = values[0, ::-1].copy()
+
+
+class TestSidecar:
+    """The binary copy next to a cache file is used only when it matches."""
+
+    def test_writers_add_a_sidecar(self, tmp_path, small_reference):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        save_reference(small_reference, tmp_path / "ref.txt")
+        save_table(table, tmp_path / "table.txt")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [".ref.txt.bin", ".table.txt.bin", "ref.txt", "table.txt"]
+
+    def test_matching_sidecar_supplies_the_values(self, tmp_path, small_reference):
+        # Shifted but still sorted and finite values behind the valid digest are
+        # what a load returns, so the sidecar path is the one that runs.
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _sidecar_of(path).write_bytes(_resealed(path, lambda v: v.__iadd__(1.0)))
+        loaded = load_reference(path)
+        for mask, vec in small_reference.norms.items():
+            assert np.array_equal(loaded.norms[mask], vec + 1.0)
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "digest", "other-file", "nan",
+                                         "unsorted", "masks", "missing"])
+    def test_failing_sidecar_is_ignored(self, tmp_path, small_reference, corrupt):
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        sidecar = _sidecar_of(path)
+        blob = sidecar.read_bytes()
+        if corrupt == "truncated":
+            sidecar.write_bytes(blob[:-8])
+        elif corrupt == "digest":
+            shifted = _resealed(path, lambda v: v.__iadd__(1.0))
+            sidecar.write_bytes(bytes([shifted[0] ^ 1]) + shifted[1:])
+        elif corrupt == "other-file":
+            other = tmp_path / "other.txt"
+            save_reference(build_null_reference(RandomStream(43), n=25, p=2, h=2, R=499),
+                           other)
+            sidecar.write_bytes(_sidecar_of(other).read_bytes())
+        elif corrupt == "nan":
+            sidecar.write_bytes(_resealed(path, _put_value_nan))
+        elif corrupt == "unsorted":
+            sidecar.write_bytes(_resealed(path, _reverse_first_row))
+        elif corrupt == "masks":
+            # Masks 0x1 and 0x2 swapped: the order no longer matches the text.
+            index = np.frombuffer(blob, "<u8", 5, 32).copy()
+            index[[2, 3]] = index[[3, 2]]
+            sidecar.write_bytes(blob[:32] + index.tobytes() + blob[72:])
+        else:
+            sidecar.unlink()
+        loaded = load_reference(path)
+        assert loaded == small_reference
+        sidecar.unlink(missing_ok=True)
+        assert loaded == load_reference(path)
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan", "unsorted"])
+    def test_failing_table_sidecar_is_ignored(self, tmp_path, corrupt):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        sidecar = _sidecar_of(path)
+        if corrupt == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:40])
+        else:
+            sidecar.write_bytes(_resealed(path, {"nan": _put_value_nan,
+                                                 "unsorted": _reverse_first_row}[corrupt]))
+        assert load_table(path) == table
+
+    def test_text_edits_bypass_a_stale_sidecar(self, tmp_path, small_reference):
+        # The sidecar still holds the saved values; the edited text is what loads.
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _edit_first_subset(path, lambda tokens: tokens.__setitem__(0, "-1"))
+        assert load_reference(path).norms[1][0] == -1.0
+
+
 def _edit_first_subset(path, edit):
     """Rewrite the value tokens of a cache file's first subset line."""
     lines = path.read_text().splitlines()
@@ -427,5 +524,5 @@ class TestAtomicWrites:
         monkeypatch.setattr(unicube.inference.os, "replace", self.fail_replace)
         with pytest.raises(OSError):
             save_reference(other, path)
-        assert [p.name for p in tmp_path.iterdir()] == ["ref.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".ref.txt.bin", "ref.txt"]
         assert path.read_bytes() == before

@@ -1,5 +1,6 @@
-"""Property tests of the cache round trip, of the Monte Carlo p-value, of the
-bitwise invariances of the tents kernel and of the decision rules on blocks."""
+"""Property tests of the cache round trip and its binary sidecar, of the Monte
+Carlo p-value, of the bitwise invariances of the tents kernel and of the
+decision rules on blocks."""
 
 import os
 import tempfile
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unicube import NullReference, enumerate_subsets, load_reference, phat, save_reference
+from unicube import (NullReference, enumerate_subsets, load_reference, load_table, phat,
+                     save_reference, save_table)
+from unicube.brownian import AsymptoticNormTable
 from unicube.inference import _decide
 from unicube.tents import _norms_for_masks
 
@@ -31,6 +34,35 @@ def test_reference_round_trip_is_bit_exact(vec):
         save_reference(reference(vec), path)
         loaded = load_reference(path).norms[1]
     assert loaded.view(np.uint64).tolist() == vec.view(np.uint64).tolist()
+
+
+def _loads_with_and_without_sidecar(save, load, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.txt")
+        save(value, path)
+        warm = load(path)
+        os.remove(os.path.join(tmp, ".cache.txt.bin"))
+        return warm, load(path)
+
+
+subnormal_edges = np.array([-5e-324, -0.0, 0.0, 5e-324, 2.2250738585072009e-308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 30)), elements=finite))
+@example(np.stack([subnormal_edges] * 3))
+def test_sidecar_load_is_bit_identical_to_text_load(block):
+    block = np.sort(block, axis=1)
+    ref = NullReference(n=5, p=2, h=2, R=block.shape[1], seed=0,
+                        norms=dict(zip(enumerate_subsets(2, 2), block)))
+    warm, cold = _loads_with_and_without_sidecar(save_reference, load_reference, ref)
+    for mask, vec in ref.norms.items():
+        assert warm.norms[mask].view(np.uint64).tolist() == vec.view(np.uint64).tolist()
+        assert cold.norms[mask].view(np.uint64).tolist() == vec.view(np.uint64).tolist()
+    table = AsymptoticNormTable(k=2, draws=block[0], nu_max=8, seed=3)
+    warm, cold = _loads_with_and_without_sidecar(save_table, load_table, table)
+    assert warm.draws.view(np.uint64).tolist() == cold.draws.view(np.uint64).tolist()
+    assert warm.draws.view(np.uint64).tolist() == block[0].view(np.uint64).tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -71,15 +71,6 @@ class AlternativeSpec:
                 raise ValueError(
                     f"normal-copula needs rho in ({low:.4g}, 1) for p={self.p}, got {self.rho}")
 
-    def label(self) -> str:
-        if self.family == "beta-iid":
-            return f"beta-iid:alpha={self.alpha:g},beta={self.beta:g}"
-        if self.family == "normal-copula":
-            return f"normal-copula:rho={self.rho:g},p={self.p}"
-        if self.family in _BIVARIATE:
-            return f"{self.family}:theta={self.theta:g}"
-        return f"uniform:p={self.p}"
-
 
 def parse_alternative(text: str) -> AlternativeSpec:
     """Parse a CLI spec string like ``clayton:theta=2``,

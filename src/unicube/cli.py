@@ -163,9 +163,6 @@ def cmd_null(args) -> int:
 
 def cmd_power(args) -> int:
     modes = tuple(args.modes.split(","))
-    for mode in modes:
-        if mode not in ("m", "s"):
-            raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")
     if args.table:
         rows = run_table(args.table, trials=args.trials, R=args.R, alpha=args.alpha,
                          seed=args.seed, rho=args.rho, modes=modes,

@@ -337,10 +337,17 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_name(f".{Path(path).name}.bin")
 
 
+def _sidecar_digest(data: bytes, payload) -> bytes:
+    """sha256 of the text bytes followed by the sidecar bytes after the digest."""
+    digest = hashlib.sha256(data)
+    digest.update(payload)
+    return digest.digest()
+
+
 def _sidecar_vectors(sidecar: bytes, data: bytes, start: int, R: int) -> dict | None:
     """The vectors of a sidecar made from ``data``, the text bytes whose subset
     lines begin at ``start``, if they pass the text path's checks."""
-    if len(sidecar) < 48 or sidecar[:32] != hashlib.sha256(data).digest():
+    if len(sidecar) < 48 or sidecar[:32] != _sidecar_digest(data, memoryview(sidecar)[32:]):
         return None
     S, stored_R = np.frombuffer(sidecar, "<u8", 2, 32).tolist()
     if stored_R != R or len(sidecar) != 48 + 8 * S * (R + 1):
@@ -421,9 +428,9 @@ def _save_cache(path, vectors: dict[int, np.ndarray], *config, scheme=None) -> N
     data = _format_cache(*config, vectors, scheme=scheme).encode("utf-8")
     values = np.array(list(vectors.values()), dtype="<f8")
     index = np.array([len(vectors), values.shape[-1], *vectors], dtype="<u8")
+    payload = index.tobytes() + values.tobytes()
     _write_atomic(path, data)
-    _write_atomic(_sidecar_path(path), hashlib.sha256(data).digest() + index.tobytes()
-                  + values.tobytes())
+    _write_atomic(_sidecar_path(path), _sidecar_digest(data, payload) + payload)
 
 
 def _read_cache(path) -> tuple[bytes, bytes]:

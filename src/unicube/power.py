@@ -215,47 +215,64 @@ def _param_string(spec: AlternativeSpec) -> str:
     return ""
 
 
-def _cell_rows(
-    table: str,
-    spec: AlternativeSpec,
-    n: int,
-    h: int,
-    trials: int,
-    R: int,
-    seed: int,
-    alpha: float,
-    modes: tuple[str, ...],
-    paper_by_mode: dict[str, str],
-    reference: NullReference | None,
-    threads: int,
-) -> list[ResultRow]:
-    """Computed rows for one experiment cell (dry run when trials == 0)."""
-    param = _param_string(spec)
-    estimates: dict[str, PowerEstimate] = {}
-    if trials > 0:
+def _grid_cells(table: str, rho: float | None):
+    """Cells of a canned grid in row order: ``(spec, n, h, published (m, s),
+    published competitor rows)``, each competitor row an ``(h label, names,
+    values)`` triple."""
+    if table == "copulas":
+        for (family, theta), by_n in TABLE_COPULAS.items():
+            spec = AlternativeSpec(family=family, p=2, theta=theta)
+            for n, values in by_n.items():
+                yield spec, n, 2, values[9:], [(2, _COMPETITORS, values[:9])]
+    elif table == "beta":
+        for (a, b), values in TABLE_BETA.items():
+            spec = AlternativeSpec(family="beta-iid", p=2, alpha=a, beta=b)
+            # Published sample size unknown: computed powers are not comparable.
+            yield (spec, 50, 2, ("NA-comparability",) * 2,
+                   [(2, _COMPETITORS + ("m-test", "s-test"), values)])
+    else:
+        # Partial grid: p=6, n=50, h = 1..6 per correlation level.
+        for level in [rho] if rho is not None else sorted(TABLE_PARTIAL):
+            if level not in TABLE_PARTIAL:
+                raise ValueError(
+                    f"rho={level} has no published reference; known: {sorted(TABLE_PARTIAL)}")
+            competitors, by_h = TABLE_PARTIAL[level]
+            spec = AlternativeSpec(family="normal-copula", p=6, rho=level)
+            for h, paper in by_h.items():
+                yield spec, 50, h, paper, [
+                    ("", ("C_N", "Q1", "Q2", "Q3"), competitors)] if h == 6 else []
+
+
+def _rows(table, cells, trials, R, alpha, seed, modes, threads) -> list[ResultRow]:
+    """Computed rows, then published rows, of each cell (dry run when
+    trials == 0). Cells with the same (n, p, h) share one null reference,
+    built from sub-stream 0 of the seed as ``estimate_power`` would."""
+    references: dict[tuple[int, int, int], NullReference] = {}
+    rows: list[ResultRow] = []
+    for spec, n, h, paper, published in cells:
         experiment = PowerExperiment(alternative=spec, n=n, trials=trials, alpha=alpha,
                                      modes=modes, h=h, R=R, seed=seed)
-        estimates = estimate_power(experiment, reference=reference, threads=threads)
-    rows = []
-    for mode in modes:
-        est = estimates.get(mode)
-        rows.append(ResultRow(
-            table=table, alternative=spec.family, param=param, n=n, h=h, mode=mode,
-            power=f"{est.power:.4f}" if est else "",
-            se=f"{est.se:.4f}" if est else "",
-            trials=trials, R=R, seed=seed,
-            paper_ref_value=paper_by_mode.get(mode, ""),
-        ))
+        estimates: dict[str, PowerEstimate] = {}
+        if trials > 0:
+            key = (n, spec.p, experiment.h)
+            if key not in references:
+                references[key] = build_null_reference(RandomStream(seed).child(0), *key, R,
+                                                       threads=threads)
+            estimates = estimate_power(experiment, references[key], threads)
+        paper_by_mode = dict(zip(("m", "s"), paper))
+        cell = dict(table=table, alternative=spec.family, param=_param_string(spec), n=n,
+                    trials=trials, R=R, seed=seed)
+        for mode in modes:
+            est = estimates.get(mode)
+            rows.append(ResultRow(h=experiment.h, mode=mode,
+                                  power=f"{est.power:.4f}" if est else "",
+                                  se=f"{est.se:.4f}" if est else "",
+                                  paper_ref_value=paper_by_mode.get(mode, ""), **cell))
+        for label, names, values in published:
+            rows.extend(ResultRow(h=label, mode=f"paper:{name}", power="", se="",
+                                  paper_ref_value=value, **cell)
+                        for name, value in zip(names, values))
     return rows
-
-
-def _paper_rows(table, alternative, param, n, h, trials, R, seed, names, values):
-    return [
-        ResultRow(table=table, alternative=alternative, param=param, n=n, h=h,
-                  mode=f"paper:{name}", power="", se="", trials=trials, R=R,
-                  seed=seed, paper_ref_value=value)
-        for name, value in zip(names, values)
-    ]
 
 
 def run_single(
@@ -270,10 +287,7 @@ def run_single(
     threads: int = 1,
 ) -> list[ResultRow]:
     """Rows for one ad-hoc experiment cell outside the canned grids."""
-    if h is None:
-        h = spec.p
-    return _cell_rows("custom", spec, n, h, trials, R, seed, alpha, modes, {},
-                      None, threads)
+    return _rows("custom", [(spec, n, h, (), [])], trials, R, alpha, seed, modes, threads)
 
 
 def run_table(
@@ -294,60 +308,7 @@ def run_table(
     """
     if table not in TABLE_IDS:
         raise ValueError(f"unknown table {table!r}; supported: {', '.join(TABLE_IDS)}")
-    rows: list[ResultRow] = []
-
-    if table == "copulas":
-        refs_by_n: dict[int, NullReference] = {}
-        for (family, theta), by_n in TABLE_COPULAS.items():
-            spec = AlternativeSpec(family=family, p=2, theta=theta)
-            for n, values in by_n.items():
-                if trials > 0 and n not in refs_by_n:
-                    refs_by_n[n] = build_null_reference(
-                        RandomStream(seed).child(0), n, 2, 2, R, threads=threads)
-                paper = {"m": values[9], "s": values[10]}
-                rows.extend(_cell_rows("copulas", spec, n, 2, trials, R, seed, alpha,
-                                       modes, paper, refs_by_n.get(n), threads))
-                rows.extend(_paper_rows("copulas", family, _param_string(spec), n, 2,
-                                        trials, R, seed, _COMPETITORS, values[:9]))
-        return rows
-
-    if table == "beta":
-        n = 50
-        shared_ref = None
-        if trials > 0:
-            shared_ref = build_null_reference(RandomStream(seed).child(0), n, 2, 2, R,
-                                              threads=threads)
-        for (a, b), values in TABLE_BETA.items():
-            spec = AlternativeSpec(family="beta-iid", p=2, alpha=a, beta=b)
-            # Published sample size unknown: computed powers are not comparable.
-            paper = {"m": "NA-comparability", "s": "NA-comparability"}
-            rows.extend(_cell_rows("beta", spec, n, 2, trials, R, seed, alpha,
-                                   modes, paper, shared_ref, threads))
-            rows.extend(_paper_rows("beta", "beta-iid", _param_string(spec), n, 2,
-                                    trials, R, seed,
-                                    _COMPETITORS + ("m-test", "s-test"), values))
-        return rows
-
-    # Partial grid: p=6, n=50, h = 1..6 per correlation level.
-    n, p = 50, 6
-    levels = [rho] if rho is not None else sorted(TABLE_PARTIAL)
-    references: dict[int, NullReference] = {}
-    for level in levels:
-        if level not in TABLE_PARTIAL:
-            raise ValueError(
-                f"rho={level} has no published reference; known: {sorted(TABLE_PARTIAL)}")
-        competitors, by_h = TABLE_PARTIAL[level]
-        spec = AlternativeSpec(family="normal-copula", p=p, rho=level)
-        for h in range(1, p + 1):
-            if trials > 0 and h not in references:
-                references[h] = build_null_reference(
-                    RandomStream(seed).child(0), n, p, h, R, threads=threads)
-            paper = {"m": by_h[h][0], "s": by_h[h][1]}
-            rows.extend(_cell_rows("partial", spec, n, h, trials, R, seed, alpha,
-                                   modes, paper, references.get(h), threads))
-        rows.extend(_paper_rows("partial", "normal-copula", _param_string(spec), n, "",
-                                trials, R, seed, ("C_N", "Q1", "Q2", "Q3"), competitors))
-    return rows
+    return _rows(table, _grid_cells(table, rho), trials, R, alpha, seed, modes, threads)
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:

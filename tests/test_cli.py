@@ -342,6 +342,12 @@ class TestCmdPower:
         hs = sorted({int(l.split(",")[4]) for l in data_rows})
         assert hs == [1, 2, 3, 4, 5, 6]
 
+    def test_unknown_mode_refused_on_dry_run(self, capsys):
+        assert main(["power", "--table", "copulas", "--trials", "0", "--modes", "m,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unsupported mode 'x'; power studies use m and s\n"
+
     def test_output_file_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 """Decision rules, Monte Carlo p-values, and the cache file round trip."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -355,13 +356,15 @@ def _sidecar_of(path):
 
 
 def _resealed(path, edit):
-    """The sidecar of ``path`` with ``edit`` applied to its (S, R) values; the
-    digest of the text is left valid."""
+    """The sidecar of ``path`` with ``edit`` applied to its (S, R) values and
+    the digest, sha256(text bytes + sidecar bytes after the digest), made
+    valid again."""
     blob = bytearray(_sidecar_of(path).read_bytes())
     S, R = np.frombuffer(bytes(blob), "<u8", 2, 32)
     values = np.frombuffer(bytes(blob), "<f8", S * R, 48 + 8 * int(S)).reshape(S, R).copy()
     edit(values)
     blob[48 + 8 * int(S):] = values.astype("<f8").tobytes()
+    blob[:32] = hashlib.sha256(path.read_bytes() + bytes(blob[32:])).digest()
     return bytes(blob)
 
 
@@ -438,6 +441,42 @@ class TestSidecar:
             sidecar.write_bytes(_resealed(path, {"nan": _put_value_nan,
                                                  "unsorted": _reverse_first_row}[corrupt]))
         assert load_table(path) == table
+
+    @pytest.mark.parametrize("kind", ["reference", "table"])
+    def test_flipped_value_bit_is_not_served(self, tmp_path, small_reference, kind):
+        # The lowest mantissa bit of one value flipped, digest left as written:
+        # the values stay finite and sorted, so only the digest can catch it.
+        if kind == "reference":
+            cache, save, load = small_reference, save_reference, load_reference
+        else:
+            cache = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+            save, load = save_table, load_table
+        path = tmp_path / "cache.txt"
+        save(cache, path)
+        sidecar = _sidecar_of(path)
+        blob = bytearray(sidecar.read_bytes())
+        S, R = np.frombuffer(bytes(blob), "<u8", 2, 32).tolist()
+        at = 48 + 8 * S + 8 * (R // 2)
+        blob[at] ^= 1
+        flipped = np.frombuffer(bytes(blob), "<f8", S * R, 48 + 8 * S).reshape(S, R)
+        assert np.all(np.isfinite(flipped)) and np.all(flipped[:, 1:] >= flipped[:, :-1])
+        sidecar.write_bytes(bytes(blob))
+        loaded = load(path)
+        sidecar.unlink()
+        assert loaded == load(path) == cache
+
+    def test_resealed_swapped_masks_are_ignored(self, tmp_path, small_reference):
+        # Masks 0x1 and 0x2 swapped behind a valid digest: the mask check
+        # alone sends the load to the text.
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        sidecar = _sidecar_of(path)
+        blob = sidecar.read_bytes()
+        index = np.frombuffer(blob, "<u8", 5, 32).copy()
+        index[[2, 3]] = index[[3, 2]]
+        payload = index.tobytes() + blob[72:]
+        sidecar.write_bytes(hashlib.sha256(path.read_bytes() + payload).digest() + payload)
+        assert load_reference(path) == small_reference
 
     def test_text_edits_bypass_a_stale_sidecar(self, tmp_path, small_reference):
         # The sidecar still holds the saved values; the edited text is what loads.

@@ -1,6 +1,7 @@
 """Power estimation harness: level at the null, monotonicity, table plumbing."""
 
 import csv
+import hashlib
 import io
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import unicube.inference
+import unicube.power
 import unicube.special
 from unicube import (AlternativeSpec, PowerExperiment, RandomStream,
-                     build_null_reference, estimate_power, rows_to_csv, run_table,
-                     run_tests, sample_alternative)
+                     build_null_reference, estimate_power, rows_to_csv, run_single,
+                     run_table, run_tests, sample_alternative)
 from unicube.power import CSV_HEADER
 
 
@@ -181,6 +183,56 @@ class TestRunTable:
         slack = 2.0 * np.hypot(out["s"].se, out["m"].se)
         assert out["s"].power > out["m"].power - slack
         assert out["s"].power > out["m"].power  # observed strictly, in fact
+
+
+_NORMAL6 = AlternativeSpec("normal-copula", p=6, rho=0.3)
+
+
+class TestOneCellLoop:
+    """Every grid and the ad-hoc cell go through one loop that shares one
+    null reference per (n, p, h) across cells."""
+
+    # sha256 of the CSV: row order, fields, number formats and reference
+    # streams are all pinned.
+    @pytest.mark.parametrize("run,digest", [
+        (lambda: run_table("copulas", trials=6, R=19, seed=3),
+         "d1780fa002ae27678282698135ce194123ea12622a7e11ce6c10d51a16405f5f"),
+        (lambda: run_table("beta", trials=6, R=19, seed=3),
+         "a635784b8ed5731c4bbf55ecd44a0494e149aa1e1dfd6ef8a551a1af030ca4a8"),
+        (lambda: run_table("partial", rho=0.3, trials=6, R=19, seed=4),
+         "7f481d2bd51f73e370fe998ad931d4f80819d4f5cb3140b14e88c409a16a42dd"),
+        (lambda: run_single(_NORMAL6, n=30, h=2, trials=10, R=49, seed=1),
+         "713ffb5c2defaf74c55b16bef9fcdecb15181827a166677da92ff20d020dc16e"),
+    ], ids=["copulas", "beta", "partial", "single"])
+    def test_rows_pinned(self, run, digest):
+        assert hashlib.sha256(rows_to_csv(run()).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("run,builds", [
+        (lambda t: run_table("copulas", trials=t, R=19, seed=3), 3),
+        (lambda t: run_table("beta", trials=t, R=19, seed=3), 1),
+        (lambda t: run_table("partial", rho=0.3, trials=t, R=19, seed=4), 6),
+        (lambda t: run_single(_NORMAL6, n=30, h=2, trials=t, R=19), 1),
+    ], ids=["copulas", "beta", "partial", "single"])
+    def test_one_reference_per_configuration(self, monkeypatch, run, builds):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:4])
+            return build_null_reference(*args, **kwargs)
+
+        monkeypatch.setattr(unicube.power, "build_null_reference", counted)
+        run(0)
+        assert calls == []  # a dry run builds no reference
+        run(2)
+        assert len(calls) == len(set(calls)) == builds
+
+    @pytest.mark.parametrize("run,bad", [
+        (lambda: run_table("copulas", trials=0, modes=("m", "x")), "x"),
+        (lambda: run_single(_NORMAL6, n=50, trials=0, modes=("s-as",)), "s-as"),
+    ], ids=["table", "single"])
+    def test_dry_run_checks_modes(self, run, bad):
+        with pytest.raises(ValueError, match=f"unsupported mode {bad!r}"):
+            run()
 
 
 class TestCsv:

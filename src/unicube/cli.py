@@ -66,17 +66,24 @@ def _read_sample(path: str, skip_header: bool) -> Sample:
     return Sample(np.array(rows))
 
 
-def _cache_dir(flag_value: str | None) -> str | None:
-    return flag_value if flag_value is not None else os.environ.get(CACHE_ENV)
-
-
-def _check_cached(path: str, cached: dict, requested: dict) -> None:
-    """Refuse a cache file whose configuration differs from the request."""
-    if cached != requested:
-        got, want = (" ".join(f"{key}={value}" for key, value in config.items())
-                     for config in (cached, requested))
-        raise ValueError(f"{path}: cached configuration ({got}) does not match "
-                         f"request ({want})")
+def _cached(cache, name, load, build, save, config, request):
+    """Load ``name`` from the ``cache`` directory, or build it (and save it
+    there when a directory is set). A loaded object whose ``config`` differs
+    from ``request`` is refused."""
+    path = os.path.join(cache, name) if cache else None
+    if path and os.path.exists(path):
+        found = load(path)
+        if config(found) != request:
+            got, want = (" ".join(f"{key}={value}" for key, value in c.items())
+                         for c in (config(found), request))
+            raise ValueError(f"{path}: cached configuration ({got}) does not match "
+                             f"request ({want})")
+        return found
+    built = build()
+    if path:
+        os.makedirs(cache, exist_ok=True)
+        save(built, path)
+    return built
 
 
 def cmd_test(args) -> int:
@@ -85,51 +92,27 @@ def cmd_test(args) -> int:
     if not 1 <= h <= sample.p:
         raise ValueError(f"h must be in [1, {sample.p}], got {h}")
     modes = ("m", "s") if args.mode == "both" else (args.mode,)
-    cache = _cache_dir(args.null_cache)
-    reports = []
+    cache, seed = args.null_cache, args.seed
 
     if any(m in ASYMPTOTIC_MODES for m in modes):
         tables = {}
-        stream = RandomStream(args.seed)
+        stream = RandomStream(seed)
         for k in range(1, sample.p + 1):
             nu = args.nu_max if args.nu_max is not None else default_nu_max(k)
-            path = None
-            if cache:
-                path = os.path.join(cache, table_filename(k, nu, args.asym_draws,
-                                                          args.seed))
-            if path and os.path.exists(path):
-                table = load_table(path)
-                _check_cached(path, dict(k=table.k, nu_max=table.nu_max,
-                                         draws=table.draws.shape[0], seed=table.seed),
-                              dict(k=k, nu_max=nu, draws=args.asym_draws,
-                                   seed=args.seed))
-            else:
-                table = asymptotic_norm_draws(stream.child(k), k, nu_max=nu,
-                                              draws=args.asym_draws)
-                if path:
-                    os.makedirs(cache, exist_ok=True)
-                    save_table(table, path)
-            tables[k] = table
-        for mode in modes:
-            reports.append(asymptotic_test(sample, tables, args.alpha, mode=mode))
+            tables[k] = _cached(
+                cache, table_filename(k, nu, args.asym_draws, seed), load_table,
+                lambda: asymptotic_norm_draws(stream.child(k), k, nu_max=nu,
+                                              draws=args.asym_draws), save_table,
+                lambda t: dict(k=t.k, nu_max=t.nu_max, draws=t.draws.shape[0], seed=t.seed),
+                dict(k=k, nu_max=nu, draws=args.asym_draws, seed=seed))
+        reports = [asymptotic_test(sample, tables, args.alpha, mode=m) for m in modes]
     else:
-        reference = None
-        path = None
-        if cache:
-            path = os.path.join(cache, reference_filename(sample.n, sample.p, h,
-                                                          args.R, args.seed))
-            if os.path.exists(path):
-                reference = load_reference(path)
-                _check_cached(path, dict(n=reference.n, p=reference.p, h=reference.h,
-                                         R=reference.R, seed=reference.seed),
-                              dict(n=sample.n, p=sample.p, h=h, R=args.R,
-                                   seed=args.seed))
-        if reference is None:
-            reference = build_null_reference(RandomStream(args.seed), sample.n,
-                                             sample.p, h, args.R, threads=args.threads)
-            if path:
-                os.makedirs(cache, exist_ok=True)
-                save_reference(reference, path)
+        reference = _cached(
+            cache, reference_filename(sample.n, sample.p, h, args.R, seed), load_reference,
+            lambda: build_null_reference(RandomStream(seed), sample.n, sample.p, h, args.R,
+                                         threads=args.threads), save_reference,
+            lambda r: dict(n=r.n, p=r.p, h=r.h, R=r.R, seed=r.seed),
+            dict(n=sample.n, p=sample.p, h=h, R=args.R, seed=seed))
         by_mode = run_tests(sample, reference, args.alpha, modes=modes)
         reports = [by_mode[m] for m in modes]
 
@@ -152,7 +135,7 @@ def cmd_null(args) -> int:
     if args.out:
         path = args.out
     else:
-        cache = _cache_dir(args.cache_dir) or "."
+        cache = args.cache_dir or "."
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, reference_filename(args.n, args.p, args.h,
                                                       args.R, args.seed))
@@ -163,15 +146,21 @@ def cmd_null(args) -> int:
 
 def cmd_power(args) -> int:
     modes = tuple(args.modes.split(","))
+    target = f"--table {args.table}" if args.table else "--alternative"
+    for flag, value, applies in (("--n", args.n, not args.table),
+                                 ("--h", args.h, not args.table),
+                                 ("--rho", args.rho, args.table == "partial")):
+        if value is not None and not applies:
+            raise ValueError(f"{flag} does not apply to {target}")
     if args.table:
         rows = run_table(args.table, trials=args.trials, R=args.R, alpha=args.alpha,
                          seed=args.seed, rho=args.rho, modes=modes,
                          threads=args.threads)
     else:
         spec = parse_alternative(args.alternative)
-        rows = run_single(spec, n=args.n, h=args.h, trials=args.trials, R=args.R,
-                          alpha=args.alpha, seed=args.seed, modes=modes,
-                          threads=args.threads)
+        rows = run_single(spec, n=50 if args.n is None else args.n, h=args.h,
+                          trials=args.trials, R=args.R, alpha=args.alpha,
+                          seed=args.seed, modes=modes, threads=args.threads)
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -285,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="null replicates for the Monte Carlo reference (default 999)")
     t.add_argument("--alpha", type=float, default=0.05, help="significance level")
     t.add_argument("--seed", type=int, default=1, help="seed for the null reference")
-    t.add_argument("--null-cache", default=None, metavar="DIR",
+    t.add_argument("--null-cache", default=os.environ.get(CACHE_ENV), metavar="DIR",
                    help=f"cache directory (default: ${CACHE_ENV})")
     t.add_argument("--json", default=None, metavar="FILE",
                    help="also write reports as JSON lines")
@@ -302,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--h", type=int, required=True, help="max subset cardinality")
     n.add_argument("--R", type=int, required=True, help="number of null replicates")
     n.add_argument("--seed", type=int, default=1)
-    n.add_argument("--cache-dir", default=None, metavar="DIR",
+    n.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV), metavar="DIR",
                    help=f"target directory (default: ${CACHE_ENV} or .)")
     n.add_argument("--out", default=None, metavar="FILE",
                    help="explicit output path (overrides --cache-dir)")
@@ -316,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alternative", metavar="SPEC",
                        help="single alternative, e.g. clayton:theta=2 or "
                             "normal-copula:rho=0.3,p=6")
-    w.add_argument("--n", type=int, default=50, help="sample size for --alternative")
+    w.add_argument("--n", type=int, default=None,
+                   help="sample size for --alternative (default 50)")
     w.add_argument("--h", type=int, default=None,
                    help="max subset cardinality for --alternative")
     w.add_argument("--trials", type=int, default=500,
@@ -325,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--alpha", type=float, default=0.05)
     w.add_argument("--seed", type=int, default=1)
     w.add_argument("--rho", type=float, default=None,
-                   help="restrict the partial grid to one correlation level")
+                   help="restrict --table partial to one correlation level")
     w.add_argument("--modes", default="m,s", help="comma-separated subset of m,s")
     w.add_argument("--out", default=None, metavar="FILE", help="write CSV here")
     w.add_argument("--threads", type=int, default=1)

@@ -1,15 +1,26 @@
 """Command-line surface: exit codes, cache files, CSV output, diagnostics."""
 
+import collections
+import contextlib
+import hashlib
+import io
 import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unicube import RandomStream, uniform_sample
 from unicube.brownian import default_nu_max
 from unicube.cli import main
 from unicube.inference import table_filename
+import unicube.cli
+from unicube.inference import build_asymptotic_tables, load_table
 
 
 def write_csv(path, data, header=None):
@@ -387,3 +398,192 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--seed" in out
+
+
+def _sha(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+@pytest.fixture
+def cube_csv(tmp_path):
+    path = tmp_path / "u3.csv"
+    write_csv(path, uniform_sample(RandomStream(41), 50, 3).data)
+    return path
+
+
+def _counting(monkeypatch):
+    """Count the builds and loads that ``cmd_test`` makes through ``unicube.cli``."""
+    calls = collections.Counter()
+    for name in ("build_null_reference", "asymptotic_norm_draws", "load_reference",
+                 "load_table"):
+        def counted(*args, _name=name, _original=getattr(unicube.cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(unicube.cli, name, counted)
+    return calls
+
+
+class TestCacheStep:
+    """Both calibrations of ``unicube test`` go through one load-or-build step."""
+
+    MODES = {"both": ["--R", "49"], "m": ["--R", "49"], "s": ["--R", "49"],
+             "m-as": ["--asym-draws", "500"], "s-as": ["--asym-draws", "500"]}
+    # Exit code and sha256 of stdout and of the --json file.
+    PINS = {
+        "both": (0, "dd331d723573de10d2ab68e4ec708a3141667c03ee4622340e59f9dde9b454f3",
+                  "82bfe5eb4b7447f8d41c2737077a054a3cafaf91e3e5a5c05f2db402e729573c"),
+        "m": (0, "838b54110a5577bd96530eb11ac5548fae44e0099bd0f356d247522d34b949c4",
+               "8b4d81d4953ad455da1d22dfe84c00dc3203557621e39c068819bc7ed57a572d"),
+        "s": (0, "e0633612d73ba3cc20b5327784944290eefb2b4088dadad6a7563667603b84bc",
+               "9b66725f69670236201f1a8ce165157ab6c2045d3b7f5ec3a51f0d31fc9f3f7d"),
+        "m-as": (0, "f17f08f7eb2d3127b95a6425d96e808be33d794d78fc2abb246b5ae039df82bd",
+                  "cb220a387f84a0c3c2fd197fe517dbd68b7e87ea47e5aed5857f186ca97fd3d0"),
+        "s-as": (0, "2b576f338f92583cc818bde3eea7d5f9c211997bdde4bdd61e150b181ed198fa",
+                  "cf85fe6688871d30479dac9036725f6ff3a54830c4ce91b2591dc577d771d5ec"),
+    }
+
+    def run(self, csv, mode, tmp_path, capsys, *extra):
+        out = tmp_path / "reports.jsonl"
+        code = main(["test", str(csv), "--mode", mode, "--seed", "5", "--json", str(out)]
+                    + self.MODES[mode] + list(extra))
+        return code, _sha(capsys.readouterr().out), _sha(out.read_bytes())
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_reports_pinned_cold_and_warm(self, cube_csv, tmp_path, capsys, mode):
+        cache = ["--null-cache", str(tmp_path / "cache")]
+        cold = self.run(cube_csv, mode, tmp_path, capsys, *cache)
+        warm = self.run(cube_csv, mode, tmp_path, capsys, *cache)
+        assert cold == warm == self.PINS[mode]
+
+    @pytest.mark.parametrize("mode,builder,loader,count", [
+        ("both", "build_null_reference", "load_reference", 1),
+        ("m", "build_null_reference", "load_reference", 1),
+        ("s", "build_null_reference", "load_reference", 1),
+        ("m-as", "asymptotic_norm_draws", "load_table", 3),
+    ])
+    def test_cold_builds_and_warm_loads(self, cube_csv, tmp_path, capsys, monkeypatch,
+                                        mode, builder, loader, count):
+        calls = _counting(monkeypatch)
+        cache = ["--null-cache", str(tmp_path / "cache")]
+        self.run(cube_csv, mode, tmp_path, capsys, *cache)
+        assert calls == {builder: count}
+        calls.clear()
+        self.run(cube_csv, mode, tmp_path, capsys, *cache)
+        assert calls == {loader: count}
+
+    @pytest.mark.parametrize("mode", ["both", "m-as"])
+    def test_no_cache_builds_and_writes_nothing(self, cube_csv, tmp_path, capsys,
+                                                monkeypatch, mode):
+        monkeypatch.delenv("UNICUBE_CACHE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        calls = _counting(monkeypatch)
+        before = sorted(os.listdir(tmp_path))
+        code = main(["test", str(cube_csv), "--mode", mode, "--seed", "5"]
+                    + self.MODES[mode])
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert sorted(calls) == (["build_null_reference"] if mode == "both"
+                                 else ["asymptotic_norm_draws"])
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_cached_tables_equal_the_library_tables(self, cube_csv, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        self.run(cube_csv, "m-as", tmp_path, capsys, "--null-cache", str(cache))
+        for k, table in build_asymptotic_tables(RandomStream(5), 3, draws=500).items():
+            cached = load_table(cache / table_filename(k, default_nu_max(k), 500, 5))
+            assert (cached.k, cached.nu_max, cached.seed) == (k, table.nu_max, table.seed)
+            assert cached.draws.view(np.uint64).tolist() == table.draws.view(np.uint64).tolist()
+
+    def test_null_cache_flag_wins_over_env(self, cube_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UNICUBE_CACHE", str(tmp_path / "env"))
+        self.run(cube_csv, "m", tmp_path, capsys, "--null-cache", str(tmp_path / "flag"))
+        assert not (tmp_path / "env").exists()
+        assert "null_n50_p3_h3_R49_s5.txt" in os.listdir(tmp_path / "flag")
+
+    def test_null_writes_into_env_cache(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UNICUBE_CACHE", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
+                     "--seed", "2"]) == 0
+        path = os.path.join(str(tmp_path / "env"), "null_n5_p1_h1_R9_s2.txt")
+        assert capsys.readouterr().out == path + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["env"]
+        assert os.path.exists(path)
+
+
+class TestPowerOptionScope:
+    """``unicube power`` refuses the options that the chosen run would ignore."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--table", "beta", "--trials", "0", "--rho", "0.3", "--n", "7", "--h", "9"],
+         "--n does not apply to --table beta"),
+        (["--table", "partial", "--trials", "0", "--n", "20"],
+         "--n does not apply to --table partial"),
+        (["--table", "copulas", "--trials", "0", "--h", "2"],
+         "--h does not apply to --table copulas"),
+        (["--table", "beta", "--trials", "0", "--rho", "0.3"],
+         "--rho does not apply to --table beta"),
+        (["--alternative", "clayton:theta=2", "--trials", "0", "--rho", "0.3"],
+         "--rho does not apply to --alternative"),
+    ])
+    def test_refused(self, capsys, argv, message):
+        assert main(["power"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--table", "partial", "--rho", "0.3", "--trials", "0"],
+         "9ccc4eeafde406a87e5dc21efbec88374680c85ce709916d7d5811ea40bd1c95"),
+        (["--alternative", "normal-copula:rho=0.3,p=6", "--n", "50", "--trials", "10",
+          "--R", "49", "--seed", "11"],
+         "fad5f025a258a4453dbd7f9a3cd6410f4cd1c71d2e7cf2df1b8fe70d529b53a5"),
+        (["--alternative", "normal-copula:rho=0.3,p=6", "--trials", "10",
+          "--R", "49", "--seed", "11"],
+         "fad5f025a258a4453dbd7f9a3cd6410f4cd1c71d2e7cf2df1b8fe70d529b53a5"),
+    ], ids=["partial-rho", "alternative-n50", "alternative-default-n"])
+    def test_accepted_forms_pinned(self, capsys, argv, digest):
+        assert main(["power"] + argv) == 0
+        assert _sha(capsys.readouterr().out) == digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), p=st.integers(1, 3),
+       mode=st.sampled_from(["both", "m", "s", "m-as", "s-as"]),
+       R=st.integers(1, 19), alpha=st.sampled_from(["0.05", "0.5"]),
+       cached=st.booleans())
+def test_cmd_test_argument_space(data, n, p, mode, R, alpha, cached):
+    """Small values of every ``unicube test`` option: exit 1 means a reject,
+    exit 2 a single error line and no report, and warm calls equal the cold one."""
+    values = data.draw(hnp.arrays(np.float64, (n, p), elements=st.floats(0.0, 1.0)))
+    h = data.draw(st.one_of(st.none(), st.integers(0, p + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "x.csv")
+        with open(csv, "w") as fh:
+            fh.write("".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in values))
+        cache = os.path.join(tmp, "cache")
+        argv = ["test", csv, "--mode", mode, "--R", str(R), "--alpha", alpha,
+                "--asym-draws", "200", "--seed", "3"]
+        argv += [] if h is None else ["--h", str(h)]
+        argv += ["--null-cache", cache] if cached else []
+
+        def call():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        with mock.patch.dict(os.environ):
+            os.environ.pop("UNICUBE_CACHE", None)
+            cold = call()
+        code, out, err = cold
+        assert code in (0, 1, 2)
+        assert (code == 1) == ("decision: reject" in out)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if cached and os.path.isdir(cache):
+            assert call() == cold
+            for name in os.listdir(cache):
+                if name.startswith("."):
+                    os.remove(os.path.join(cache, name))
+            assert call() == cold

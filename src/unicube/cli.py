@@ -22,13 +22,13 @@ from .alternatives import parse_alternative
 from .brownian import (KLConfig, asymptotic_norm_draws, default_nu_max,
                        simulate_sheet, truncated_sheet_covariance,
                        truncation_tail_mean)
-from .core import MAX_DIMENSION, RandomStream, Sample
+from .core import MAX_DIMENSION, RandomStream, Sample, enumerate_subsets
 from .decompose import GridFunction, decompose, reconstruct
-from .inference import (ASYMPTOTIC_MODES, asymptotic_test, build_null_reference,
-                        load_reference, load_table, reference_filename,
-                        render_report, report_json, run_tests, save_reference,
-                        save_table, table_filename)
-from .power import TABLE_IDS, rows_to_csv, run_single, run_table
+from .inference import (ASYMPTOTIC_MODES, _minp_threshold, asymptotic_test,
+                        build_null_reference, load_reference, load_table,
+                        reference_filename, render_report, report_json, run_tests,
+                        save_reference, save_table, table_filename)
+from .power import TABLE_IDS, _grid_cells, rows_to_csv, run_single, run_table
 
 CACHE_ENV = "UNICUBE_CACHE"
 
@@ -86,6 +86,18 @@ def _cached(cache, name, load, build, save, config, request):
     return built
 
 
+def _warn_m_rule(modes, R, alpha, shapes) -> None:
+    """Say on stderr when the m rule cannot reject: its smallest p-value,
+    1/(R+1), is not below the per-subset cutoff of the largest family among
+    the (p, h) ``shapes`` run."""
+    subsets = max(len(enumerate_subsets(p, h)) for p, h in shapes)
+    cutoff = _minp_threshold(alpha, subsets)
+    if "m" in modes and 1.0 / (R + 1) >= cutoff:
+        print(f"warning: the m rule cannot reject: 1/(R+1)={1.0 / (R + 1):.3g} is not below "
+              f"its per-subset cutoff {cutoff:.3g} for {subsets} subsets; "
+              f"use --R >= {math.floor(1.0 / cutoff)}", file=sys.stderr)
+
+
 def cmd_test(args) -> int:
     sample = _read_sample(args.input, args.header)
     h = args.h if args.h is not None else sample.p
@@ -122,6 +134,7 @@ def cmd_test(args) -> int:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             for report in reports:
                 fh.write(report_json(report) + "\n")
+    _warn_m_rule(modes, args.R, args.alpha, [(sample.p, h)])
     return 1 if any(r.reject for r in reports) else 0
 
 
@@ -156,17 +169,21 @@ def cmd_power(args) -> int:
         rows = run_table(args.table, trials=args.trials, R=args.R, alpha=args.alpha,
                          seed=args.seed, rho=args.rho, modes=modes,
                          threads=args.threads)
+        shapes = [(spec.p, h) for spec, _, h, *_ in _grid_cells(args.table, args.rho)]
     else:
         spec = parse_alternative(args.alternative)
         rows = run_single(spec, n=50 if args.n is None else args.n, h=args.h,
                           trials=args.trials, R=args.R, alpha=args.alpha,
                           seed=args.seed, modes=modes, threads=args.threads)
+        shapes = [(spec.p, spec.p if args.h is None else args.h)]
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if args.trials > 0:
+        _warn_m_rule(modes, args.R, args.alpha, shapes)
     return 0
 
 

@@ -7,11 +7,14 @@ For a subset H the tent statistic of a sample U is
 
 with the pair factor f(u, v) = (u^2 + v^2)/2 - max(u, v) + 1/3, which is the
 integral over [0,1] of (1{u<=t} - t)(1{v<=t} - t). The double sum is computed
-over pairs a <= b only (off-diagonal terms doubled), in fixed tiles of pairs.
-Within a tile the per-subset products are built depth first from the product
-of the subset minus its lowest bit, so a whole family of subsets costs barely
-more than a single one and only one product per cardinality is held at a
-time: memory is bounded by the tile, not by n^2 or the number of subsets.
+over pairs a <= b only (off-diagonal terms doubled), in fixed tiles of pairs,
+and a batch of samples is scored in blocks of rows, so that one block's
+products over one tile stay cache-sized. Within a tile the per-subset
+products are built depth first from the product of the subset minus its
+lowest bit, so a whole family of subsets costs barely more than a single one
+and only one product per cardinality is held at a time: the pairwise arrays
+are bounded by one row block times one tile, not by the batch, n^2 or the
+number of subsets; only the (batch, subsets) sums grow with them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,15 @@ import numpy as np
 from .core import Sample, enumerate_subsets, mask_cardinality
 
 #: Pairs per tile of the kernel. Fixed, so that a row's sums, and hence its
-#: bits, do not depend on the batch it is scored in.
+#: bits, do not depend on the batch it is scored in. With the row block
+#: below it bounds the pairwise arrays, whatever the batch size.
 _PAIR_TILE = 512
+#: Bytes of one (rows, pairs) product: the kernel takes as many rows per
+#: block as fit, 64 at a full tile and more when n is small enough that the
+#: single tile is short. Rows are reduced one by one, so this moves no bit.
+#: Half this size makes each numpy call so short that two scoring threads
+#: spend their time handing the interpreter lock to each other.
+_BLOCK_BYTES = 8 * 64 * _PAIR_TILE
 
 
 def pair_factor(u: float, v: float) -> float:
@@ -84,10 +94,11 @@ def _canonical_rows(points: np.ndarray) -> np.ndarray:
 def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks)).
 
-    Pairs a <= b are taken in tiles of ``_PAIR_TILE``. The pair weight (1 on
-    the diagonal, 2 off it, so exact) is the product of the empty subset and
-    every product is C-contiguous, so each row is reduced by the same per-row
-    sums whatever the batch size.
+    Pairs a <= b are taken in tiles of ``_PAIR_TILE``, and the batch in
+    blocks of rows whose products fit in ``_BLOCK_BYTES``. The pair weight (1
+    on the diagonal, 2 off it, so exact) is the product of the empty subset
+    and every product is C-contiguous, so each row is reduced by the same
+    per-row sums, added tile by tile in tile order, whatever the batch size.
     """
     b, n, p = batch.shape
     coords = np.ascontiguousarray(
@@ -104,13 +115,19 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
                        for j in range((mask & -mask).bit_length() - 1 if mask else p)
                        if mask | 1 << j in need] for mask in need}
     ia, ib = np.triu_indices(n)
-    acc = np.zeros((len(masks), b))
-    sums: list = [None] * len(masks)
+    tiles = []
     for lo in range(0, ia.size, _PAIR_TILE):
         ta, tb = ia[lo:lo + _PAIR_TILE], ib[lo:lo + _PAIR_TILE]
-        factors = _pair_factors(coords.take(ta, axis=2), coords.take(tb, axis=2))
-        _subset_product(0, np.where(ta == tb, 1.0, 2.0), factors, children, columns, sums)
-        acc += sums
+        tiles.append((ta, tb, np.where(ta == tb, 1.0, 2.0)))
+    rows = _BLOCK_BYTES // (8 * min(_PAIR_TILE, ia.size))
+    acc = np.zeros((len(masks), b))
+    sums: list = [None] * len(masks)
+    for start in range(0, b, rows):
+        block = coords[:, start:start + rows]
+        for ta, tb, weight in tiles:
+            factors = _pair_factors(block.take(ta, axis=2), block.take(tb, axis=2))
+            _subset_product(0, weight, factors, children, columns, sums)
+            acc[:, start:start + rows] += sums
     return acc.T / n
 
 

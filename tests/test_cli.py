@@ -547,6 +547,40 @@ class TestPowerOptionScope:
         assert _sha(capsys.readouterr().out) == digest
 
 
+class TestMRuleWarning:
+    """A finite run whose m rule cannot reject, because 1/(R+1) is not below
+    its per-subset cutoff, says so in one stderr line after its output."""
+
+    WARNING = ("warning: the m rule cannot reject: 1/(R+1)=0.001 is not below its "
+               "per-subset cutoff 0.000814 for 63 subsets; use --R >= 1228\n")
+
+    @pytest.mark.parametrize("p,argv,warned", [
+        (6, [], True),
+        (6, ["--mode", "s"], False),
+        (6, ["--mode", "m", "--R", "1228"], False),
+        (2, [], False),
+    ])
+    def test_test(self, tmp_path, capsys, p, argv, warned):
+        path = tmp_path / "u.csv"
+        write_csv(path, uniform_sample(RandomStream(9), 50, p).data)
+        assert main(["test", str(path), "--seed", "3"] + argv) == 0
+        captured = capsys.readouterr()
+        assert "decision: not-reject" in captured.out
+        assert captured.err == (self.WARNING if warned else "")
+
+    @pytest.mark.parametrize("argv,warned", [
+        (["--alternative", "normal-copula:rho=0.3,p=6", "--n", "20", "--R", "999"], True),
+        (["--alternative", "normal-copula:rho=0.3,p=6", "--n", "20", "--h", "1"], False),
+        (["--table", "partial", "--rho", "0.3", "--trials", "2", "--R", "999"], True),
+        (["--table", "partial", "--rho", "0.3", "--trials", "0"], False),
+    ])
+    def test_power(self, capsys, argv, warned):
+        assert main(["power", "--trials", "5"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("table,")
+        assert captured.err == (self.WARNING if warned else "")
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12), p=st.integers(1, 3),
        mode=st.sampled_from(["both", "m", "s", "m-as", "s-as"]),

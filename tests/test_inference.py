@@ -326,6 +326,19 @@ class TestCacheRoundTrip:
         with pytest.raises(ValueError):
             load_reference(path)
 
+    # sha256 of the reference text for (n, p, h, R) at seed 17. The builds span
+    # several row blocks of the kernel, and (50, 6, 6) at R=299 two work units.
+    @pytest.mark.parametrize("shape,threads,digest", [
+        ((50, 6, 6, 299), 1, "c50af69b4378576edd8947d7ce31073a3a3be9012a9b63cbc2d6b771a18ee82a"),
+        ((50, 6, 6, 299), 2, "c50af69b4378576edd8947d7ce31073a3a3be9012a9b63cbc2d6b771a18ee82a"),
+        ((200, 3, 3, 99), 1, "a1d4ac7a07a74fa7e75ad6c9aacfdd97c1fe3f142b4c16fa0495f1e01a5dbeec"),
+        ((50, 10, 3, 99), 1, "ed1a4a93d886619218bca886f42fae45971e42aebe01d6d39cc60d63276002da"),
+    ])
+    def test_reference_bytes_pinned(self, tmp_path, shape, threads, digest):
+        path = tmp_path / "ref.txt"
+        save_reference(build_null_reference(RandomStream(17), *shape, threads=threads), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_table_round_trip_equal(self, tmp_path):
         table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=32, draws=500)
         path = tmp_path / "table.txt"

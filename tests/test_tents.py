@@ -14,6 +14,7 @@ from scipy import integrate
 from unicube import (RandomStream, Sample, all_tent_norms, enumerate_subsets,
                      null_norm_mean, pair_factor, tent_eval, tent_norm,
                      uniform_sample)
+from unicube import tents
 from unicube.tents import _norms_for_masks
 
 
@@ -165,21 +166,49 @@ class TestAllTentNorms:
             assert a[mask] == pytest.approx(b[target], rel=1e-12)
 
 
+def _block_rows(n):
+    """Rows per block of the kernel at sample size n."""
+    return tents._BLOCK_BYTES // (8 * min(tents._PAIR_TILE, n * (n + 1) // 2))
+
+
+class TestRowBlocks:
+    # Batches of whole blocks plus extra rows: ending inside, at and past a
+    # block boundary. n=50 fills 512-pair tiles; n=20 has one tile of 210
+    # pairs, so its blocks hold more rows.
+    @pytest.mark.parametrize("n", [20, 50])
+    @pytest.mark.parametrize("blocks,extra", [(0, 31), (0, 32), (0, 33), (0, 70),
+                                              (1, -1), (1, 0), (1, 1), (2, 6)])
+    def test_rows_equal_their_one_row_calls(self, n, blocks, extra):
+        b = blocks * _block_rows(n) + extra
+        batch = np.random.default_rng(b).random((b, n, 4))
+        masks = enumerate_subsets(4, 4)
+        whole = _norms_for_masks(batch, masks)
+        singles = np.array([_norms_for_masks(item[None], masks)[0] for item in batch])
+        assert singles.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
+
+
+def _kernel_peak(shape, h):
+    batch = np.random.default_rng(0).random(shape)
+    masks = enumerate_subsets(shape[2], h)
+    tracemalloc.start()
+    try:
+        _norms_for_masks(batch, masks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernelMemory:
-    # The kernel holds one tile of factors and at most h products at a time;
-    # keeping every subset product over all n(n+1)/2 pairs would need about
-    # 470 MB and 440 MB for these batches.
+    # The kernel holds one row block's factors over one tile and at most h
+    # products at a time; keeping every subset product over all n(n+1)/2 pairs
+    # would need about 470 MB and 440 MB for these batches.
     @pytest.mark.parametrize("shape,h", [((256, 200, 3), 3), ((256, 50, 10), 3)])
     def test_peak_bounded(self, shape, h):
-        batch = np.random.default_rng(0).random(shape)
-        masks = enumerate_subsets(shape[2], h)
-        tracemalloc.start()
-        try:
-            _norms_for_masks(batch, masks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert _kernel_peak(shape, h) < 20 * 2**20
+
+    @pytest.mark.parametrize("n,p,h", [(200, 3, 3), (50, 10, 3), (50, 6, 6)])
+    def test_peak_does_not_grow_with_the_batch(self, n, p, h):
+        assert _kernel_peak((256, n, p), h) < 2 * _kernel_peak((_block_rows(n), n, p), h)
 
 
 class TestTentEval:

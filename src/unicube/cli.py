@@ -98,33 +98,48 @@ def _warn_m_rule(modes, R, alpha, shapes) -> None:
               f"use --R >= {math.floor(1.0 / cutoff)}", file=sys.stderr)
 
 
+def _refuse_unused(target: str, options) -> None:
+    """Refuse each (flag, value, applies) option given a value that ``target``
+    would ignore."""
+    for flag, value, applies in options:
+        if value is not None and not applies:
+            raise ValueError(f"{flag} does not apply to {target}")
+
+
 def cmd_test(args) -> int:
+    asymptotic = args.mode in ASYMPTOTIC_MODES
+    _refuse_unused(f"--mode {args.mode}", [
+        ("--h", args.h, not asymptotic), ("--R", args.R, not asymptotic),
+        ("--threads", args.threads, not asymptotic),
+        ("--asym-draws", args.asym_draws, asymptotic), ("--nu-max", args.nu_max, asymptotic)])
     sample = _read_sample(args.input, args.header)
     h = args.h if args.h is not None else sample.p
     if not 1 <= h <= sample.p:
         raise ValueError(f"h must be in [1, {sample.p}], got {h}")
     modes = ("m", "s") if args.mode == "both" else (args.mode,)
     cache, seed = args.null_cache, args.seed
+    R = 999 if args.R is None else args.R
 
-    if any(m in ASYMPTOTIC_MODES for m in modes):
+    if asymptotic:
         tables = {}
         stream = RandomStream(seed)
+        draws = 100_000 if args.asym_draws is None else args.asym_draws
         for k in range(1, sample.p + 1):
             nu = args.nu_max if args.nu_max is not None else default_nu_max(k)
             tables[k] = _cached(
-                cache, table_filename(k, nu, args.asym_draws, seed), load_table,
-                lambda: asymptotic_norm_draws(stream.child(k), k, nu_max=nu,
-                                              draws=args.asym_draws), save_table,
+                cache, table_filename(k, nu, draws, seed), load_table,
+                lambda: asymptotic_norm_draws(stream.child(k), k, nu_max=nu, draws=draws),
+                save_table,
                 lambda t: dict(k=t.k, nu_max=t.nu_max, draws=t.draws.shape[0], seed=t.seed),
-                dict(k=k, nu_max=nu, draws=args.asym_draws, seed=seed))
+                dict(k=k, nu_max=nu, draws=draws, seed=seed))
         reports = [asymptotic_test(sample, tables, args.alpha, mode=m) for m in modes]
     else:
         reference = _cached(
-            cache, reference_filename(sample.n, sample.p, h, args.R, seed), load_reference,
-            lambda: build_null_reference(RandomStream(seed), sample.n, sample.p, h, args.R,
-                                         threads=args.threads), save_reference,
+            cache, reference_filename(sample.n, sample.p, h, R, seed), load_reference,
+            lambda: build_null_reference(RandomStream(seed), sample.n, sample.p, h, R,
+                                         threads=args.threads or 1), save_reference,
             lambda r: dict(n=r.n, p=r.p, h=r.h, R=r.R, seed=r.seed),
-            dict(n=sample.n, p=sample.p, h=h, R=args.R, seed=seed))
+            dict(n=sample.n, p=sample.p, h=h, R=R, seed=seed))
         by_mode = run_tests(sample, reference, args.alpha, modes=modes)
         reports = [by_mode[m] for m in modes]
 
@@ -134,7 +149,7 @@ def cmd_test(args) -> int:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             for report in reports:
                 fh.write(report_json(report) + "\n")
-    _warn_m_rule(modes, args.R, args.alpha, [(sample.p, h)])
+    _warn_m_rule(modes, R, args.alpha, [(sample.p, h)])
     return 1 if any(r.reject for r in reports) else 0
 
 
@@ -159,12 +174,9 @@ def cmd_null(args) -> int:
 
 def cmd_power(args) -> int:
     modes = tuple(args.modes.split(","))
-    target = f"--table {args.table}" if args.table else "--alternative"
-    for flag, value, applies in (("--n", args.n, not args.table),
-                                 ("--h", args.h, not args.table),
-                                 ("--rho", args.rho, args.table == "partial")):
-        if value is not None and not applies:
-            raise ValueError(f"{flag} does not apply to {target}")
+    _refuse_unused(f"--table {args.table}" if args.table else "--alternative", [
+        ("--n", args.n, not args.table), ("--h", args.h, not args.table),
+        ("--rho", args.rho, args.table == "partial")])
     if args.table:
         rows = run_table(args.table, trials=args.trials, R=args.R, alpha=args.alpha,
                          seed=args.seed, rho=args.rho, modes=modes,
@@ -286,20 +298,22 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["m", "s", "both", "m-as", "s-as"],
                    help="decision rule(s) to run (default both finite-sample rules)")
     t.add_argument("--h", type=int, default=None,
-                   help="max subset cardinality (default: full family)")
-    t.add_argument("--R", type=int, default=999,
-                   help="null replicates for the Monte Carlo reference (default 999)")
+                   help="max subset cardinality (default: full family; m, s and both only)")
+    t.add_argument("--R", type=int, default=None,
+                   help="null replicates for the Monte Carlo reference (default 999; "
+                        "m, s and both only)")
     t.add_argument("--alpha", type=float, default=0.05, help="significance level")
     t.add_argument("--seed", type=int, default=1, help="seed for the null reference")
     t.add_argument("--null-cache", default=os.environ.get(CACHE_ENV), metavar="DIR",
                    help=f"cache directory (default: ${CACHE_ENV})")
     t.add_argument("--json", default=None, metavar="FILE",
                    help="also write reports as JSON lines")
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument("--threads", type=int, default=None,
+                   help="threads for building the reference (default 1; m, s and both only)")
     t.add_argument("--nu-max", type=int, default=None,
-                   help="series truncation for asymptotic modes")
-    t.add_argument("--asym-draws", type=int, default=100_000,
-                   help="table size for asymptotic modes")
+                   help="series truncation (m-as and s-as only)")
+    t.add_argument("--asym-draws", type=int, default=None,
+                   help="table size (default 100000; m-as and s-as only)")
     t.set_defaults(func=cmd_test)
 
     n = sub.add_parser("null", help="precompute a null reference cache file")
@@ -360,8 +374,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -11,16 +11,18 @@ reference (both consume the same per-subset p-value estimates):
 
 The asymptotic variants ("m-as", "s-as") use simulated tables of the limiting
 norm distribution instead of a finite-n null reference and always run the
-full subset family. Null references are cached in a plain-text format with a
-bit-exact float round trip.
+full subset family. Null references and tables are cached in a text file that
+holds each float64 as 16 hex digits of its little-endian bytes, a bit-exact
+round trip.
 """
 
 from __future__ import annotations
 
-import hashlib
+import binascii
 import json
 import math
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from .core import RandomStream, Sample, enumerate_subsets, mask_label, subset_co
 from .special import chisq_quantile
 from .tents import _norms_for_masks, all_tent_norms
 
-CACHE_MAGIC = "unicube-null v1"
+CACHE_MAGIC = "unicube-null v2"
 
 FINITE_MODES = ("m", "s")
 ASYMPTOTIC_MODES = ("m-as", "s-as")
@@ -304,107 +306,86 @@ def asymptotic_test(
 
 
 # ---------------------------------------------------------------------------
-# Cache files. One text format shared by null references and limiting-norm
-# tables: a magic line, a configuration line, then one sorted float vector
-# per subset at 17 significant digits (bit-exact round trip). Files are
-# written to a temporary name and renamed into place, so a concurrent reader
-# sees the old file or the complete new one. A binary sidecar ``.<name>.bin``
-# (layout in README) spares warm loads the decimal parse; the text stays
-# authoritative, and a sidecar that does not match it is ignored.
+# Cache files. One format shared by null references and limiting-norm tables:
+# a magic line, a configuration line, a masks line, then one line of hex
+# digits holding the sorted vectors, one per mask, as little-endian float64
+# (a bit-exact round trip; layout in README). Files are written to a
+# temporary name and renamed into place, so a concurrent reader sees the old
+# file or the complete new one.
 # ---------------------------------------------------------------------------
 
 def reference_filename(n: int, p: int, h: int, R: int, seed: int) -> str:
-    return f"null_n{n}_p{p}_h{h}_R{R}_s{seed}.txt"
+    return f"null_n{n}_p{p}_h{h}_R{R}_s{seed}.v2.txt"
 
 
 def table_filename(k: int, nu_max: int, draws: int, seed: int) -> str:
-    return f"asym_k{k}_nu{nu_max}_M{draws}_s{seed}_scheme{TABLE_SCHEME}.txt"
+    return f"asym_k{k}_nu{nu_max}_M{draws}_s{seed}_scheme{TABLE_SCHEME}.v2.txt"
 
 
 def _format_cache(n: int, p: int, h: int, R: int, seed: int,
-                  vectors: dict[int, np.ndarray], scheme: int | None = None) -> str:
+                  vectors: dict[int, np.ndarray], scheme: int | None = None) -> bytes:
     config = f"n={n} p={p} h={h} R={R} seed={seed}"
     if scheme is not None:
         config += f" scheme={scheme}"
-    lines = [CACHE_MAGIC, config]
-    for mask, vec in vectors.items():
-        body = " ".join(map("%.17g".__mod__, vec.tolist()))
-        lines.append(f"H={mask:x} : {body}")
-    return "\n".join(lines) + "\n"
+    masks = ",".join(f"{mask:x}" for mask in vectors)
+    values = np.array(list(vectors.values()), dtype="<f8")
+    return (f"{CACHE_MAGIC}\n{config}\nmasks={masks}\n".encode("utf-8")
+            + binascii.hexlify(values.tobytes()) + b"\n")
 
 
-def _sidecar_path(path) -> Path:
-    return Path(path).with_name(f".{Path(path).name}.bin")
+def _header_line(data: bytes, start: int, where: str, what: str) -> tuple[str, int]:
+    """The line of ``data`` that begins at ``start``, and the start of the next."""
+    end = data.find(b"\n", start)
+    if end < 0:
+        raise ValueError(f"{where}: missing {what} line")
+    return data[start:end].decode("utf-8", "replace"), end + 1
 
 
-def _sidecar_digest(data: bytes, payload) -> bytes:
-    """sha256 of the text bytes followed by the sidecar bytes after the digest."""
-    digest = hashlib.sha256(data)
-    digest.update(payload)
-    return digest.digest()
-
-
-def _sidecar_vectors(sidecar: bytes, data: bytes, start: int, R: int) -> dict | None:
-    """The vectors of a sidecar made from ``data``, the text bytes whose subset
-    lines begin at ``start``, if they pass the text path's checks."""
-    if len(sidecar) < 48 or sidecar[:32] != _sidecar_digest(data, memoryview(sidecar)[32:]):
-        return None
-    S, stored_R = np.frombuffer(sidecar, "<u8", 2, 32).tolist()
-    if stored_R != R or len(sidecar) != 48 + 8 * S * (R + 1):
-        return None
-    masks = np.frombuffer(sidecar, "<u8", S, 48).tolist()
-    values = np.frombuffer(sidecar, "<f8", S * R, 48 + 8 * S).reshape(S, R)
-    pos = start
-    for mask in masks:  # one line per mask, in the text's order, and no other
-        if not data.startswith(b"H=%x :" % mask, pos):
-            return None
-        pos = data.find(b"\n", pos) + 1
-    if pos != len(data) or not np.all(np.isfinite(values)) or np.any(
-            values[:, 1:] < values[:, :-1]):
-        return None
-    return dict(zip(masks, values))
-
-
-def _parse_cache(data: bytes, sidecar: bytes,
-                 where: str) -> tuple[dict[str, int], dict[int, np.ndarray]]:
-    """Configuration and vectors from a cache file's bytes and its sidecar's."""
-    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # past the configuration line
-    lines = (data[:start] if start else data).decode("utf-8").splitlines()
-    if not lines or lines[0] != CACHE_MAGIC:
+def _parse_cache(data: bytes, where: str) -> tuple[dict[str, int], dict[int, np.ndarray]]:
+    """Configuration and vectors from a cache file's bytes."""
+    magic, start = _header_line(data, 0, where, "magic")
+    if magic == "unicube-null v1":
+        raise ValueError(f"{where}: a cache file of an earlier unicube ({magic}); delete it "
+                         f"and rebuild it with `unicube null` or a cold `unicube test`")
+    if magic != CACHE_MAGIC:
         raise ValueError(f"{where}: not a cache file (bad magic line)")
-    if len(lines) < 2:
-        raise ValueError(f"{where}: missing configuration line")
+    line, start = _header_line(data, start, where, "configuration")
     config: dict[str, int] = {}
-    for token in lines[1].split():
+    for token in line.split():
         key, _, value = token.partition("=")
-        config[key] = int(value)
+        try:
+            config[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{where}: malformed configuration token {token!r}") from None
     for key in ("n", "p", "h", "R", "seed"):
         if key not in config:
             raise ValueError(f"{where}: configuration line lacks {key}=")
-    vectors = _sidecar_vectors(sidecar, data, start, config["R"])
-    if vectors is not None:
-        return config, vectors
-    vectors = {}
-    for line in data.decode("utf-8").splitlines()[2:]:
-        if not line.strip():
-            continue
-        head, _, body = line.partition(":")
-        if not head.strip().startswith("H="):
-            raise ValueError(f"{where}: malformed subset line {line[:40]!r}")
-        mask = int(head.strip()[2:], 16)
-        try:
-            vec = np.array(body.split(), dtype=np.float64)
-        except ValueError as exc:
-            raise ValueError(f"{where}: subset {mask:#x}: {exc}") from None
-        if vec.shape[0] != config["R"]:
-            raise ValueError(
-                f"{where}: subset {mask:#x} has {vec.shape[0]} values, expected R={config['R']}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{where}: subset {mask:#x} has a non-finite value")
-        if np.any(vec[1:] < vec[:-1]):
-            raise ValueError(f"{where}: subset {mask:#x} is not sorted ascending")
-        vectors[mask] = vec
-    return config, vectors
+    line, start = _header_line(data, start, where, "masks")
+    key, _, body = line.partition("=")
+    try:
+        masks = [int(token, 16) for token in body.split(",")]
+    except ValueError:
+        key = None
+    if key != "masks":
+        raise ValueError(f"{where}: malformed masks line {line[:60]!r}")
+    S, R = len(masks), config["R"]
+    block = memoryview(data)[start:-1]
+    if len(block) != 16 * S * R or not data.endswith(b"\n"):
+        raise ValueError(f"{where}: value line has {len(data) - start} bytes, expected "
+                         f"16 hex digits x {S} subsets x R={R} and a newline")
+    try:
+        values = np.frombuffer(binascii.unhexlify(block), "<f8").reshape(S, R)
+    except binascii.Error:
+        at = re.search(rb"[^0-9a-fA-F]", block).start()
+        token = bytes(block[at - at % 16:at - at % 16 + 16]).decode("utf-8", "replace")
+        raise ValueError(f"{where}: subset {masks[at // (16 * R)]:#x}: value "
+                         f"{at % (16 * R) // 16} is not 16 hex digits: {token!r}") from None
+    for bad, problem in ((~np.isfinite(values), "has a non-finite value"),
+                         (values[:, 1:] < values[:, :-1], "is not sorted ascending")):
+        rows = bad.any(axis=1)
+        if rows.any():
+            raise ValueError(f"{where}: subset {masks[int(rows.argmax())]:#x} {problem}")
+    return config, dict(zip(masks, values))
 
 
 def _write_atomic(path, data: bytes) -> None:
@@ -422,36 +403,15 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
-def _save_cache(path, vectors: dict[int, np.ndarray], *config, scheme=None) -> None:
-    """Write the text file, then its sidecar. A failure in between leaves an
-    older sidecar, which no longer matches the text's digest."""
-    data = _format_cache(*config, vectors, scheme=scheme).encode("utf-8")
-    values = np.array(list(vectors.values()), dtype="<f8")
-    index = np.array([len(vectors), values.shape[-1], *vectors], dtype="<u8")
-    payload = index.tobytes() + values.tobytes()
-    _write_atomic(path, data)
-    _write_atomic(_sidecar_path(path), _sidecar_digest(data, payload) + payload)
-
-
-def _read_cache(path) -> tuple[bytes, bytes]:
-    """The bytes of a cache file and of its sidecar (empty if unreadable)."""
-    data = Path(path).read_bytes()
-    try:
-        return data, _sidecar_path(path).read_bytes()
-    except OSError:
-        return data, b""
-
-
 def save_reference(reference: NullReference, path) -> None:
-    _save_cache(path, reference.norms, reference.n, reference.p, reference.h,
-                reference.R, reference.seed)
+    _write_atomic(path, _format_cache(reference.n, reference.p, reference.h, reference.R,
+                                      reference.seed, reference.norms))
 
 
 def load_reference(path) -> NullReference:
-    config, vectors = _parse_cache(*_read_cache(path), str(path))
-    expected = enumerate_subsets(config["p"], config["h"])
-    if list(vectors) != expected:
-        raise ValueError(f"{path}: subset lines do not match the (p, h) enumeration")
+    config, vectors = _parse_cache(Path(path).read_bytes(), str(path))
+    if list(vectors) != enumerate_subsets(config["p"], config["h"]):
+        raise ValueError(f"{path}: masks line does not match the (p, h) enumeration")
     return NullReference(n=config["n"], p=config["p"], h=config["h"],
                          R=config["R"], seed=config["seed"], norms=vectors)
 
@@ -460,17 +420,18 @@ def save_table(table: AsymptoticNormTable, path) -> None:
     """Write a limiting-norm table in the shared cache format.
 
     The ``n`` slot of the configuration line holds the truncation bound, and
-    the single subset line uses the lowest mask of cardinality k. The
+    the single vector uses the lowest mask of cardinality k. The
     ``scheme`` token records the stream layout of the draws (see
     :data:`unicube.brownian.TABLE_SCHEME`).
     """
-    _save_cache(path, {(1 << table.k) - 1: table.draws}, table.nu_max, table.k, table.k,
-                table.draws.shape[0], table.seed, scheme=TABLE_SCHEME)
+    _write_atomic(path, _format_cache(table.nu_max, table.k, table.k, table.draws.shape[0],
+                                      table.seed, {(1 << table.k) - 1: table.draws},
+                                      scheme=TABLE_SCHEME))
 
 
 def load_table(path) -> AsymptoticNormTable:
     """Read a limiting-norm table; tables of another stream layout are refused."""
-    config, vectors = _parse_cache(*_read_cache(path), str(path))
+    config, vectors = _parse_cache(Path(path).read_bytes(), str(path))
     scheme = config.get("scheme")
     if scheme != TABLE_SCHEME:
         found = "no scheme token" if scheme is None else f"scheme={scheme}"
@@ -479,7 +440,7 @@ def load_table(path) -> AsymptoticNormTable:
     k = config["p"]
     mask = (1 << k) - 1
     if list(vectors) != [mask]:
-        raise ValueError(f"{path}: expected a single subset line for mask {mask:#x}")
+        raise ValueError(f"{path}: expected the single mask {mask:#x}")
     return AsymptoticNormTable(k=k, draws=vectors[mask], nu_max=config["n"],
                                seed=config["seed"])
 

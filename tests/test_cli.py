@@ -78,7 +78,7 @@ class TestCmdTest:
         code_a = main(args)
         out_a = capsys.readouterr().out
         files = sorted(os.listdir(cache))
-        assert files == [".null_n50_p2_h2_R99_s5.txt.bin", "null_n50_p2_h2_R99_s5.txt"]
+        assert files == ["null_n50_p2_h2_R99_s5.v2.txt"]
         stamps = [(cache / name).read_bytes() for name in files]
         code_b = main(args)
         out_b = capsys.readouterr().out
@@ -89,8 +89,7 @@ class TestCmdTest:
         cache = tmp_path / "envcache"
         monkeypatch.setenv("UNICUBE_CACHE", str(cache))
         main(["test", str(uniform_csv), "--R", "49", "--seed", "5"])
-        assert sorted(os.listdir(cache)) == [".null_n50_p2_h2_R49_s5.txt.bin",
-                                             "null_n50_p2_h2_R49_s5.txt"]
+        assert sorted(os.listdir(cache)) == ["null_n50_p2_h2_R49_s5.v2.txt"]
 
     def test_json_lines_output(self, uniform_csv, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -121,9 +120,9 @@ class TestCmdTest:
         main(["test", str(uniform_csv), "--R", "49", "--seed", "5",
               "--null-cache", str(cache)])
         capsys.readouterr()
-        good = cache / "null_n50_p2_h2_R49_s5.txt"
+        good = cache / "null_n50_p2_h2_R49_s5.v2.txt"
         # A file whose name promises a different seed than its content.
-        (cache / "null_n50_p2_h2_R49_s6.txt").write_bytes(good.read_bytes())
+        (cache / "null_n50_p2_h2_R49_s6.v2.txt").write_bytes(good.read_bytes())
         code = main(["test", str(uniform_csv), "--R", "49", "--seed", "6",
                      "--null-cache", str(cache)])
         err = capsys.readouterr().err
@@ -136,11 +135,11 @@ class TestCmdTest:
                 "--null-cache", str(cache)]
         main(args)
         capsys.readouterr()
-        path = cache / "null_n50_p2_h2_R49_s5.txt"
-        lines = path.read_text().splitlines()
-        head, _, body = lines[2].partition(":")
-        lines[2] = f"{head}: {' '.join(reversed(body.split()))}"
-        path.write_text("\n".join(lines) + "\n")
+        path = cache / "null_n50_p2_h2_R49_s5.v2.txt"
+        lines = path.read_text().split("\n")
+        first = [lines[3][i:i + 16] for i in range(0, 16 * 49, 16)]
+        lines[3] = "".join(reversed(first)) + lines[3][16 * 49:]
+        path.write_text("\n".join(lines))
         code = main(args)
         err = capsys.readouterr().err
         assert code == 2
@@ -155,8 +154,8 @@ class TestCmdTest:
                 "--null-cache", str(cache)]
         assert main(args + ["--seed", "5"]) in (0, 1)
         capsys.readouterr()
-        sidecar, good = sorted(os.listdir(cache))
-        assert sidecar == f".{good}.bin" and good.startswith("asym_k1_")
+        [good] = os.listdir(cache)
+        assert good.startswith("asym_k1_") and good.endswith(".v2.txt")
         # A table file whose name promises a different seed than its content.
         (cache / good.replace("_s5_", "_s6_")).write_bytes((cache / good).read_bytes())
         code = main(args + ["--seed", "6"])
@@ -175,7 +174,7 @@ class TestCmdTest:
         assert "mode=m-as n=50 p=6" in capsys.readouterr().out
         names = sorted(os.listdir(cache))
         tables = [table_filename(k, default_nu_max(k), 2000, 4) for k in range(1, 7)]
-        assert names == sorted(tables + [f".{name}.bin" for name in tables])
+        assert names == sorted(tables)
 
 
 def _listing(cache):
@@ -186,10 +185,10 @@ def _listing(cache):
 
 
 class TestWarmCache:
-    """Warm calls read the sidecars and never write; the text stays the source
-    of the results."""
+    """Warm calls read the cache files, give the cold call's results and never
+    write."""
 
-    MODES = [["--mode", "both"], ["--mode", "s-as", "--asym-draws", "300"]]
+    MODES = [["--mode", "both", "--R", "49"], ["--mode", "s-as", "--asym-draws", "300"]]
 
     def run(self, argv, capsys, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -200,32 +199,22 @@ class TestWarmCache:
     def test_cold_warm_and_warm_without_sidecars_agree(self, pointmass_csv, tmp_path,
                                                        capsys, mode):
         cache = tmp_path / "cache"
-        argv = ["test", str(pointmass_csv), "--R", "49", "--seed", "5",
-                "--null-cache", str(cache)] + mode
+        argv = ["test", str(pointmass_csv), "--seed", "5", "--null-cache", str(cache)] + mode
         cold = self.run(argv, capsys, tmp_path)
+        # The cold call writes no binary copy beside its cache files; the warm
+        # call reads the cache files alone.
+        assert not [name for name in os.listdir(cache) if name.startswith(".")]
         warm = self.run(argv, capsys, tmp_path)
-        for name in os.listdir(cache):
-            if name.startswith("."):
-                os.remove(cache / name)
-        bare = self.run(argv, capsys, tmp_path)
         assert cold[0] == 1 and "decision: reject" in cold[1]
-        assert cold == warm == bare
+        assert cold == warm
 
     @pytest.mark.parametrize("mode", MODES)
     def test_warm_calls_write_nothing(self, uniform_csv, tmp_path, capsys, mode):
         cache = tmp_path / "cache"
-        argv = ["test", str(uniform_csv), "--R", "49", "--seed", "5",
-                "--null-cache", str(cache)] + mode
+        argv = ["test", str(uniform_csv), "--seed", "5", "--null-cache", str(cache)] + mode
         main(argv)
         before = _listing(cache)
-        assert len(before) >= 2 and all(f".{name}.bin" in before
-                                        for name in before if not name.startswith("."))
-        main(argv)
-        assert _listing(cache) == before
-        for name in list(before):
-            if name.startswith("."):
-                os.remove(cache / name)
-                del before[name]
+        assert before and all(name.endswith(".v2.txt") for name in before)
         main(argv)
         assert _listing(cache) == before
         capsys.readouterr()
@@ -241,12 +230,10 @@ class TestCmdNull:
         assert main(args) == 0
         assert out.read_bytes() == first
         lines = first.decode().splitlines()
-        assert lines[1] == "n=25 p=2 h=2 R=999 seed=11"
-        assert len(lines) == 5
-        for line in lines[2:]:
-            values = [float(tok) for tok in line.split(":")[1].split()]
-            assert len(values) == 999
-            assert values == sorted(values)
+        assert lines[1:3] == ["n=25 p=2 h=2 R=999 seed=11", "masks=1,2,3"]
+        assert len(lines) == 4
+        for values in np.frombuffer(bytes.fromhex(lines[3]), "<f8").reshape(3, 999):
+            assert values.tolist() == sorted(values)
 
     def test_h_exceeding_p_fails(self, capsys):
         assert main(["null", "--n", "10", "--p", "2", "--h", "3", "--R", "9"]) == 2
@@ -254,8 +241,7 @@ class TestCmdNull:
     def test_cache_dir_naming(self, tmp_path):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
                      "--seed", "2", "--cache-dir", str(tmp_path)]) == 0
-        assert sorted(os.listdir(tmp_path)) == [".null_n5_p1_h1_R9_s2.txt.bin",
-                                                "null_n5_p1_h1_R9_s2.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["null_n5_p1_h1_R9_s2.v2.txt"]
 
     def test_unwritable_path(self, capsys):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
@@ -498,14 +484,14 @@ class TestCacheStep:
         monkeypatch.setenv("UNICUBE_CACHE", str(tmp_path / "env"))
         self.run(cube_csv, "m", tmp_path, capsys, "--null-cache", str(tmp_path / "flag"))
         assert not (tmp_path / "env").exists()
-        assert "null_n50_p3_h3_R49_s5.txt" in os.listdir(tmp_path / "flag")
+        assert "null_n50_p3_h3_R49_s5.v2.txt" in os.listdir(tmp_path / "flag")
 
     def test_null_writes_into_env_cache(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UNICUBE_CACHE", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
                      "--seed", "2"]) == 0
-        path = os.path.join(str(tmp_path / "env"), "null_n5_p1_h1_R9_s2.txt")
+        path = os.path.join(str(tmp_path / "env"), "null_n5_p1_h1_R9_s2.v2.txt")
         assert capsys.readouterr().out == path + "\n"
         assert sorted(os.listdir(tmp_path)) == ["env"]
         assert os.path.exists(path)
@@ -581,24 +567,62 @@ class TestMRuleWarning:
         assert captured.err == (self.WARNING if warned else "")
 
 
+class TestTestOptionScope:
+    """``unicube test`` refuses the options that its mode would ignore."""
+
+    @pytest.mark.parametrize("mode,option", [
+        (mode, option) for mode in ("m-as", "s-as")
+        for option in (["--h", "2"], ["--R", "49"], ["--threads", "2"])
+    ] + [
+        (mode, option) for mode in ("both", "m", "s")
+        for option in (["--asym-draws", "500"], ["--nu-max", "8"])
+    ])
+    def test_refused(self, uniform_csv, tmp_path, capsys, mode, option):
+        cache = tmp_path / "cache"
+        argv = ["test", str(uniform_csv), "--mode", mode, "--null-cache", str(cache)]
+        assert main(argv + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option[0]} does not apply to --mode {mode}\n"
+        assert not cache.exists()
+
+
+def test_earlier_cache_files_are_not_read(uniform_csv, tmp_path, capsys):
+    # A cache file of the earlier text layout, under its earlier name, is never
+    # looked up: the call builds and writes the current file beside it.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / "null_n50_p2_h2_R49_s5.txt"
+    old.write_text("unicube-null v1\nn=50 p=2 h=2 R=49 seed=5\nH=1 : nan\n")
+    argv = ["test", str(uniform_csv), "--R", "49", "--seed", "5", "--null-cache", str(cache)]
+    assert main(argv) == 0
+    assert sorted(os.listdir(cache)) == ["null_n50_p2_h2_R49_s5.txt",
+                                         "null_n50_p2_h2_R49_s5.v2.txt"]
+    assert old.read_text().startswith("unicube-null v1")
+    assert "decision: not-reject" in capsys.readouterr().out
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12), p=st.integers(1, 3),
        mode=st.sampled_from(["both", "m", "s", "m-as", "s-as"]),
-       R=st.integers(1, 19), alpha=st.sampled_from(["0.05", "0.5"]),
-       cached=st.booleans())
-def test_cmd_test_argument_space(data, n, p, mode, R, alpha, cached):
-    """Small values of every ``unicube test`` option: exit 1 means a reject,
-    exit 2 a single error line and no report, and warm calls equal the cold one."""
+       alpha=st.sampled_from(["0.05", "0.5"]), cached=st.booleans())
+def test_cmd_test_argument_space(data, n, p, mode, alpha, cached):
+    """Small values of every ``unicube test`` option that the mode uses: exit 1
+    means a reject, exit 2 a single error line and no report, and a warm call
+    equals the cold one."""
     values = data.draw(hnp.arrays(np.float64, (n, p), elements=st.floats(0.0, 1.0)))
-    h = data.draw(st.one_of(st.none(), st.integers(0, p + 1)))
+    if mode in ("m-as", "s-as"):
+        options = ["--asym-draws", str(data.draw(st.integers(1, 200)))]
+    else:
+        h = data.draw(st.one_of(st.none(), st.integers(0, p + 1)))
+        options = ["--R", str(data.draw(st.integers(1, 19)))]
+        options += [] if h is None else ["--h", str(h)]
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "x.csv")
         with open(csv, "w") as fh:
             fh.write("".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in values))
         cache = os.path.join(tmp, "cache")
-        argv = ["test", csv, "--mode", mode, "--R", str(R), "--alpha", alpha,
-                "--asym-draws", "200", "--seed", "3"]
-        argv += [] if h is None else ["--h", str(h)]
+        argv = ["test", csv, "--mode", mode, "--alpha", alpha, "--seed", "3"] + options
         argv += ["--null-cache", cache] if cached else []
 
         def call():
@@ -616,8 +640,4 @@ def test_cmd_test_argument_space(data, n, p, mode, R, alpha, cached):
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         if cached and os.path.isdir(cache):
-            assert call() == cold
-            for name in os.listdir(cache):
-                if name.startswith("."):
-                    os.remove(os.path.join(cache, name))
             assert call() == cold

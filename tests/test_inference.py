@@ -309,25 +309,36 @@ class TestCacheRoundTrip:
     def test_file_structure(self, tmp_path, small_reference):
         path = tmp_path / "ref.txt"
         save_reference(small_reference, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "unicube-null v1"
-        assert lines[1] == "n=25 p=2 h=2 R=499 seed=42"
-        assert len(lines) == 2 + 3
-        assert lines[2].startswith("H=1 :")
-        assert lines[3].startswith("H=2 :")
-        assert lines[4].startswith("H=3 :")
-        assert len(lines[2].split(":")[1].split()) == 499
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[:3] == ["unicube-null v2", "n=25 p=2 h=2 R=499 seed=42", "masks=1,2,3"]
+        assert lines[4:] == [""]
+        values = np.frombuffer(bytes.fromhex(lines[3]), "<f8").reshape(3, 499)
+        for row, vec in zip(values, small_reference.norms.values()):
+            assert row.view(np.uint64).tolist() == vec.view(np.uint64).tolist()
 
     def test_rejects_corrupted_magic(self, tmp_path, small_reference):
         path = tmp_path / "ref.txt"
         save_reference(small_reference, path)
-        body = path.read_text().replace("unicube-null v1", "something-else")
+        body = path.read_text().replace("unicube-null v2", "something-else")
         path.write_text(body)
         with pytest.raises(ValueError):
             load_reference(path)
 
-    # sha256 of the reference text for (n, p, h, R) at seed 17. The builds span
+    # Pins of the reference for (n, p, h, R) at seed 17. The builds span
     # several row blocks of the kernel, and (50, 6, 6) at R=299 two work units.
+    # `digest` is the sha256 of the loaded values in the decimal text layout of
+    # the earlier cache format (`_v1_text`), as pinned before the format
+    # changed; V2_PINS holds the sha256 of the float64 values, little-endian
+    # and concatenated in mask order, and of the cache file.
+    V2_PINS = {
+        (50, 6, 6, 299): ("29df2714ee397fc4c548b209101666258f2b17683873f1544a5626dd3e4cf096",
+                          "df28d9e3c77c06485a4ceee3b14fe76ed3ad9d62eb2055cd28bd226e2da7ea0f"),
+        (200, 3, 3, 99): ("29642f736cb39858f2b1dc7dcdd60769697e77420f0fb163995b13700c904085",
+                          "2c28ad8f3f4af527ce7e775306768caa9f4c0ea708fbb9ce1b4c3c74f1f06d5c"),
+        (50, 10, 3, 99): ("09bb7d6f14bedcd5df2f11c3891ec91c25a4ea3f4b90444bf03f418cce47f737",
+                          "1056186d52e50e69a611ecaeef19eeddd83498c3b381b15662c0983ae2a7b2b6"),
+    }
+
     @pytest.mark.parametrize("shape,threads,digest", [
         ((50, 6, 6, 299), 1, "c50af69b4378576edd8947d7ce31073a3a3be9012a9b63cbc2d6b771a18ee82a"),
         ((50, 6, 6, 299), 2, "c50af69b4378576edd8947d7ce31073a3a3be9012a9b63cbc2d6b771a18ee82a"),
@@ -335,9 +346,14 @@ class TestCacheRoundTrip:
         ((50, 10, 3, 99), 1, "ed1a4a93d886619218bca886f42fae45971e42aebe01d6d39cc60d63276002da"),
     ])
     def test_reference_bytes_pinned(self, tmp_path, shape, threads, digest):
+        values_digest, file_digest = self.V2_PINS[shape]
         path = tmp_path / "ref.txt"
         save_reference(build_null_reference(RandomStream(17), *shape, threads=threads), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded = load_reference(path)
+        assert hashlib.sha256(_v1_text(loaded)).hexdigest() == digest
+        values = np.array(list(loaded.norms.values()), dtype="<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == values_digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
 
     def test_table_round_trip_equal(self, tmp_path):
         table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=32, draws=500)
@@ -348,10 +364,10 @@ class TestCacheRoundTrip:
     def test_table_records_its_scheme(self, tmp_path):
         table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
         name = table_filename(2, 8, 50, 55)
-        assert name == f"asym_k2_nu8_M50_s55_scheme{TABLE_SCHEME}.txt"
+        assert name == f"asym_k2_nu8_M50_s55_scheme{TABLE_SCHEME}.v2.txt"
         save_table(table, tmp_path / name)
         lines = (tmp_path / name).read_text().splitlines()
-        assert lines[1] == f"n=8 p=2 h=2 R=50 seed=55 scheme={TABLE_SCHEME}"
+        assert lines[1:3] == [f"n=8 p=2 h=2 R=50 seed=55 scheme={TABLE_SCHEME}", "masks=3"]
 
     @pytest.mark.parametrize("token", ["", f" scheme={TABLE_SCHEME - 1}"])
     def test_table_of_other_scheme_refused(self, tmp_path, token):
@@ -364,157 +380,35 @@ class TestCacheRoundTrip:
             load_table(path)
 
 
-def _sidecar_of(path):
-    return path.parent / f".{path.name}.bin"
+def _hex(value):
+    return np.array([value], dtype="<f8").tobytes().hex()
 
 
-def _resealed(path, edit):
-    """The sidecar of ``path`` with ``edit`` applied to its (S, R) values and
-    the digest, sha256(text bytes + sidecar bytes after the digest), made
-    valid again."""
-    blob = bytearray(_sidecar_of(path).read_bytes())
-    S, R = np.frombuffer(bytes(blob), "<u8", 2, 32)
-    values = np.frombuffer(bytes(blob), "<f8", S * R, 48 + 8 * int(S)).reshape(S, R).copy()
-    edit(values)
-    blob[48 + 8 * int(S):] = values.astype("<f8").tobytes()
-    blob[:32] = hashlib.sha256(path.read_bytes() + bytes(blob[32:])).digest()
-    return bytes(blob)
-
-
-def _put_value_nan(values):
-    values[0, 3] = np.nan
-
-
-def _reverse_first_row(values):
-    values[0] = values[0, ::-1].copy()
-
-
-class TestSidecar:
-    """The binary copy next to a cache file is used only when it matches."""
-
-    def test_writers_add_a_sidecar(self, tmp_path, small_reference):
-        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
-        save_reference(small_reference, tmp_path / "ref.txt")
-        save_table(table, tmp_path / "table.txt")
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [".ref.txt.bin", ".table.txt.bin", "ref.txt", "table.txt"]
-
-    def test_matching_sidecar_supplies_the_values(self, tmp_path, small_reference):
-        # Shifted but still sorted and finite values behind the valid digest are
-        # what a load returns, so the sidecar path is the one that runs.
-        path = tmp_path / "ref.txt"
-        save_reference(small_reference, path)
-        _sidecar_of(path).write_bytes(_resealed(path, lambda v: v.__iadd__(1.0)))
-        loaded = load_reference(path)
-        for mask, vec in small_reference.norms.items():
-            assert np.array_equal(loaded.norms[mask], vec + 1.0)
-
-    @pytest.mark.parametrize("corrupt", ["truncated", "digest", "other-file", "nan",
-                                         "unsorted", "masks", "missing"])
-    def test_failing_sidecar_is_ignored(self, tmp_path, small_reference, corrupt):
-        path = tmp_path / "ref.txt"
-        save_reference(small_reference, path)
-        sidecar = _sidecar_of(path)
-        blob = sidecar.read_bytes()
-        if corrupt == "truncated":
-            sidecar.write_bytes(blob[:-8])
-        elif corrupt == "digest":
-            shifted = _resealed(path, lambda v: v.__iadd__(1.0))
-            sidecar.write_bytes(bytes([shifted[0] ^ 1]) + shifted[1:])
-        elif corrupt == "other-file":
-            other = tmp_path / "other.txt"
-            save_reference(build_null_reference(RandomStream(43), n=25, p=2, h=2, R=499),
-                           other)
-            sidecar.write_bytes(_sidecar_of(other).read_bytes())
-        elif corrupt == "nan":
-            sidecar.write_bytes(_resealed(path, _put_value_nan))
-        elif corrupt == "unsorted":
-            sidecar.write_bytes(_resealed(path, _reverse_first_row))
-        elif corrupt == "masks":
-            # Masks 0x1 and 0x2 swapped: the order no longer matches the text.
-            index = np.frombuffer(blob, "<u8", 5, 32).copy()
-            index[[2, 3]] = index[[3, 2]]
-            sidecar.write_bytes(blob[:32] + index.tobytes() + blob[72:])
-        else:
-            sidecar.unlink()
-        loaded = load_reference(path)
-        assert loaded == small_reference
-        sidecar.unlink(missing_ok=True)
-        assert loaded == load_reference(path)
-
-    @pytest.mark.parametrize("corrupt", ["truncated", "nan", "unsorted"])
-    def test_failing_table_sidecar_is_ignored(self, tmp_path, corrupt):
-        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
-        path = tmp_path / "table.txt"
-        save_table(table, path)
-        sidecar = _sidecar_of(path)
-        if corrupt == "truncated":
-            sidecar.write_bytes(sidecar.read_bytes()[:40])
-        else:
-            sidecar.write_bytes(_resealed(path, {"nan": _put_value_nan,
-                                                 "unsorted": _reverse_first_row}[corrupt]))
-        assert load_table(path) == table
-
-    @pytest.mark.parametrize("kind", ["reference", "table"])
-    def test_flipped_value_bit_is_not_served(self, tmp_path, small_reference, kind):
-        # The lowest mantissa bit of one value flipped, digest left as written:
-        # the values stay finite and sorted, so only the digest can catch it.
-        if kind == "reference":
-            cache, save, load = small_reference, save_reference, load_reference
-        else:
-            cache = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
-            save, load = save_table, load_table
-        path = tmp_path / "cache.txt"
-        save(cache, path)
-        sidecar = _sidecar_of(path)
-        blob = bytearray(sidecar.read_bytes())
-        S, R = np.frombuffer(bytes(blob), "<u8", 2, 32).tolist()
-        at = 48 + 8 * S + 8 * (R // 2)
-        blob[at] ^= 1
-        flipped = np.frombuffer(bytes(blob), "<f8", S * R, 48 + 8 * S).reshape(S, R)
-        assert np.all(np.isfinite(flipped)) and np.all(flipped[:, 1:] >= flipped[:, :-1])
-        sidecar.write_bytes(bytes(blob))
-        loaded = load(path)
-        sidecar.unlink()
-        assert loaded == load(path) == cache
-
-    def test_resealed_swapped_masks_are_ignored(self, tmp_path, small_reference):
-        # Masks 0x1 and 0x2 swapped behind a valid digest: the mask check
-        # alone sends the load to the text.
-        path = tmp_path / "ref.txt"
-        save_reference(small_reference, path)
-        sidecar = _sidecar_of(path)
-        blob = sidecar.read_bytes()
-        index = np.frombuffer(blob, "<u8", 5, 32).copy()
-        index[[2, 3]] = index[[3, 2]]
-        payload = index.tobytes() + blob[72:]
-        sidecar.write_bytes(hashlib.sha256(path.read_bytes() + payload).digest() + payload)
-        assert load_reference(path) == small_reference
-
-    def test_text_edits_bypass_a_stale_sidecar(self, tmp_path, small_reference):
-        # The sidecar still holds the saved values; the edited text is what loads.
-        path = tmp_path / "ref.txt"
-        save_reference(small_reference, path)
-        _edit_first_subset(path, lambda tokens: tokens.__setitem__(0, "-1"))
-        assert load_reference(path).norms[1][0] == -1.0
+def _v1_text(reference):
+    """``reference`` in the decimal text layout of the earlier cache format."""
+    lines = ["unicube-null v1", f"n={reference.n} p={reference.p} h={reference.h} "
+             f"R={reference.R} seed={reference.seed}"]
+    lines += [f"H={mask:x} : {' '.join(map('%.17g'.__mod__, vec.tolist()))}"
+              for mask, vec in reference.norms.items()]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _edit_first_subset(path, edit):
-    """Rewrite the value tokens of a cache file's first subset line."""
-    lines = path.read_text().splitlines()
-    head, _, body = lines[2].partition(":")
-    tokens = body.split()
+    """Rewrite the 16-digit hex tokens of a cache file's first subset."""
+    lines = path.read_text().split("\n")
+    R = int(lines[1].split("R=")[1].split()[0])
+    tokens = [lines[3][i:i + 16] for i in range(0, 16 * R, 16)]
     edit(tokens)
-    lines[2] = f"{head}: {' '.join(tokens)}"
-    path.write_text("\n".join(lines) + "\n")
+    lines[3] = "".join(tokens) + lines[3][16 * R:]
+    path.write_text("\n".join(lines))
 
 
 def _put_nan(tokens):
-    tokens[3] = "nan"
+    tokens[3] = _hex(np.nan)
 
 
 def _put_inf(tokens):
-    tokens[-1] = "inf"
+    tokens[-1] = _hex(np.inf)
 
 
 def _swap(tokens):
@@ -522,6 +416,33 @@ def _swap(tokens):
 
 
 CORRUPTIONS = [(_put_nan, "non-finite"), (_put_inf, "non-finite"), (_swap, "not sorted")]
+
+# Edits of a saved small_reference file (R=499, masks 1, 2, 3), as a function
+# of its lines, and the message that each must be refused with.
+LINE_EDITS = {
+    "v1-magic": (lambda lines: lines.__setitem__(0, "unicube-null v1"),
+                 "earlier unicube .* rebuild it with `unicube null` or a cold `unicube test`"),
+    "truncated": (lambda lines: lines.__setitem__(3, lines[3][:-16]),
+                  "value line has 23937 bytes, expected 16 hex digits x 3 subsets x R=499"),
+    "odd-length": (lambda lines: lines.__setitem__(3, lines[3][:-1]),
+                   "value line has 23952 bytes"),
+    "no-newline": (lambda lines: lines.pop(), "value line has 23952 bytes"),
+    "digit-for-newline": (lambda lines: lines.__setitem__(slice(3, 5), [lines[3] + "0"]),
+                          "value line has 23953 bytes"),
+    "non-hex": (lambda lines: lines.__setitem__(3, lines[3][:16 * 998 + 5] + "g"
+                                                + lines[3][16 * 998 + 6:]),
+                "subset 0x3: value 0 is not 16 hex digits"),
+    "spaced": (lambda lines: lines.__setitem__(3, lines[3][:16 * 7] + " "
+                                               + lines[3][16 * 7 + 1:]),
+               "subset 0x1: value 7 is not 16 hex digits"),
+    "config-token": (lambda lines: lines.__setitem__(1, lines[1].replace("n=25", "n=2x5")),
+                     "malformed configuration token 'n=2x5'"),
+    "masks-order": (lambda lines: lines.__setitem__(2, "masks=2,1,3"),
+                    "masks line does not match the \\(p, h\\) enumeration"),
+    "masks-malformed": (lambda lines: lines.__setitem__(2, "masks=1,z,3"),
+                        "malformed masks line"),
+    "masks-missing": (lambda lines: lines.__setitem__(2, "H=1,2,3"), "malformed masks line"),
+}
 
 
 class TestCacheValidation:
@@ -547,10 +468,108 @@ class TestCacheValidation:
     def test_malformed_token_refused(self, tmp_path, small_reference):
         path = tmp_path / "ref.txt"
         save_reference(small_reference, path)
-        _edit_first_subset(path, lambda tokens: tokens.__setitem__(3, "0.5x"))
+        _edit_first_subset(path, lambda tokens: tokens.__setitem__(3, "0.5x" + "0" * 12))
         with pytest.raises(ValueError, match="0.5x") as info:
             load_reference(path)
         assert str(path) in str(info.value) and "subset 0x1:" in str(info.value)
+
+    @pytest.mark.parametrize("case", list(LINE_EDITS))
+    def test_damaged_file_refused(self, tmp_path, small_reference, case):
+        edit, message = LINE_EDITS[case]
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        lines = path.read_text().split("\n")
+        edit(lines)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=message) as info:
+            load_reference(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("load", [load_reference, load_table])
+    def test_earlier_format_refused(self, tmp_path, load):
+        # The text layout written before the hex value line.
+        path = tmp_path / "null_n5_p1_h1_R3_s2.txt"
+        path.write_text("unicube-null v1\nn=5 p=1 h=1 R=3 seed=2\n"
+                        "H=1 : 0.01 0.02 0.029999999999999999\n")
+        with pytest.raises(ValueError, match="rebuild it with `unicube null`") as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def _leftover_sidecar(path, corrupt=None):
+    """Write beside the cache file ``path`` the binary copy of its values that
+    an earlier unicube kept as ``.<name>.bin`` (a sha256 of the text and the
+    rest, S and R, the masks, the values as little-endian float64), damaged
+    as ``corrupt`` says."""
+    lines = path.read_text().split("\n")
+    masks = [int(mask, 16) for mask in lines[2].removeprefix("masks=").split(",")]
+    values = np.frombuffer(bytes.fromhex(lines[3]), "<f8").reshape(len(masks), -1).copy()
+    if corrupt == "nan":
+        values[0, 3] = np.nan
+    elif corrupt == "unsorted":
+        values[0] = values[0, ::-1].copy()
+    elif corrupt == "masks":
+        masks[:2] = masks[1::-1]
+    payload = (np.array([len(masks), values.shape[1]] + masks, "<u8").tobytes()
+               + values.tobytes())
+    blob = hashlib.sha256(path.read_bytes() + payload).digest() + payload
+    (path.parent / f".{path.name}.bin").write_bytes(blob[:-8] if corrupt == "truncated"
+                                                    else blob)
+
+
+def _damage(path, corrupt):
+    """Apply ``corrupt`` to the cache file ``path`` itself; return the message
+    that a load must refuse it with."""
+    if corrupt in ("nan", "unsorted"):
+        _edit_first_subset(path, _put_nan if corrupt == "nan" else _swap)
+        return "non-finite" if corrupt == "nan" else "not sorted"
+    lines = path.read_text().split("\n")
+    if corrupt == "truncated":
+        lines[3] = lines[3][:-16]
+        message = "value line has .* bytes"
+    else:
+        masks = lines[2].removeprefix("masks=").split(",")
+        lines[2] = "masks=" + ",".join(masks[1::-1] + masks[2:])
+        message = "masks line does not match the \\(p, h\\) enumeration"
+    path.write_text("\n".join(lines))
+    return message
+
+
+class TestSidecar:
+    """An earlier unicube kept a binary copy of each cache file beside it as
+    ``.<name>.bin``. A leftover copy is never read: damage in it is ignored,
+    and the same damage in the cache file itself is refused."""
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan", "unsorted", "masks"])
+    def test_failing_sidecar_is_ignored(self, tmp_path, small_reference, corrupt):
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _leftover_sidecar(path, corrupt)
+        assert load_reference(path) == small_reference
+        message = _damage(path, corrupt)
+        with pytest.raises(ValueError, match=message) as info:
+            load_reference(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan", "unsorted"])
+    def test_failing_table_sidecar_is_ignored(self, tmp_path, corrupt):
+        table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        _leftover_sidecar(path, corrupt)
+        assert load_table(path) == table
+        message = _damage(path, corrupt)
+        with pytest.raises(ValueError, match=message) as info:
+            load_table(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_text_edits_bypass_a_stale_sidecar(self, tmp_path, small_reference):
+        # The leftover copy still holds the saved values; the edited file is what loads.
+        path = tmp_path / "ref.txt"
+        save_reference(small_reference, path)
+        _leftover_sidecar(path)
+        _edit_first_subset(path, lambda tokens: tokens.__setitem__(0, _hex(-1.0)))
+        assert load_reference(path).norms[1][0] == -1.0
 
 
 class TestAtomicWrites:
@@ -576,5 +595,5 @@ class TestAtomicWrites:
         monkeypatch.setattr(unicube.inference.os, "replace", self.fail_replace)
         with pytest.raises(OSError):
             save_reference(other, path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [".ref.txt.bin", "ref.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.txt"]
         assert path.read_bytes() == before

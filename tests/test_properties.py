@@ -1,6 +1,5 @@
-"""Property tests of the cache round trip and its binary sidecar, of the Monte
-Carlo p-value, of the bitwise invariances of the tents kernel and of the
-decision rules on blocks."""
+"""Property tests of the cache round trip, of the Monte Carlo p-value, of the
+bitwise invariances of the tents kernel and of the decision rules on blocks."""
 
 import os
 import tempfile
@@ -36,33 +35,56 @@ def test_reference_round_trip_is_bit_exact(vec):
     assert loaded.view(np.uint64).tolist() == vec.view(np.uint64).tolist()
 
 
-def _loads_with_and_without_sidecar(save, load, value):
+edges = [-1e308, -1.7976931348623157e308, -5e-324, -0.0, 0.0, 5e-324,
+         2.2250738585072009e-308, 1e308, 1.7976931348623157e308]
+# Finite floats, with a share of edge values so that blocks often hold ties.
+edgy = st.one_of(finite, st.sampled_from(edges))
+
+
+def _save_load_save(save, load, value):
+    """What loading the saved ``value`` gives, and the bytes before and after
+    saving that again."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cache.txt")
-        save(value, path)
-        warm = load(path)
-        os.remove(os.path.join(tmp, ".cache.txt.bin"))
-        return warm, load(path)
-
-
-subnormal_edges = np.array([-5e-324, -0.0, 0.0, 5e-324, 2.2250738585072009e-308])
+        first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        save(value, first)
+        loaded = load(first)
+        save(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            return loaded, a.read(), b.read()
 
 
 @settings(max_examples=100, deadline=None)
-@given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 30)), elements=finite))
-@example(np.stack([subnormal_edges] * 3))
-def test_sidecar_load_is_bit_identical_to_text_load(block):
+@given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 30)), elements=edgy))
+@example(np.stack([np.array(edges)] * 3))
+@example(np.array([[-0.0, 0.0, 0.0, -0.0], [5e-324] * 4, [1e308, 1e308, -1e308, 0.0]]))
+def test_cache_round_trip_is_bit_exact_and_byte_stable(block):
     block = np.sort(block, axis=1)
     ref = NullReference(n=5, p=2, h=2, R=block.shape[1], seed=0,
                         norms=dict(zip(enumerate_subsets(2, 2), block)))
-    warm, cold = _loads_with_and_without_sidecar(save_reference, load_reference, ref)
+    loaded, first, second = _save_load_save(save_reference, load_reference, ref)
+    assert first == second
     for mask, vec in ref.norms.items():
-        assert warm.norms[mask].view(np.uint64).tolist() == vec.view(np.uint64).tolist()
-        assert cold.norms[mask].view(np.uint64).tolist() == vec.view(np.uint64).tolist()
+        assert loaded.norms[mask].view(np.uint64).tolist() == vec.view(np.uint64).tolist()
     table = AsymptoticNormTable(k=2, draws=block[0], nu_max=8, seed=3)
-    warm, cold = _loads_with_and_without_sidecar(save_table, load_table, table)
-    assert warm.draws.view(np.uint64).tolist() == cold.draws.view(np.uint64).tolist()
-    assert warm.draws.view(np.uint64).tolist() == block[0].view(np.uint64).tolist()
+    loaded, first, second = _save_load_save(save_table, load_table, table)
+    assert first == second
+    assert loaded.draws.view(np.uint64).tolist() == block[0].view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 30)), elements=edgy))
+@example(np.stack([np.array(edges)] * 3))
+def test_sidecar_load_is_bit_identical_to_text_load(block):
+    """The binary values of a cache file, which an earlier unicube kept in a
+    sidecar, load to the bits that the decimal text of its earlier layout
+    (``%.17g``) gave."""
+    block = np.sort(block, axis=1)
+    ref = NullReference(n=5, p=2, h=2, R=block.shape[1], seed=0,
+                        norms=dict(zip(enumerate_subsets(2, 2), block)))
+    loaded, _, _ = _save_load_save(save_reference, load_reference, ref)
+    for mask, vec in ref.norms.items():
+        text = np.array([float("%.17g" % value) for value in vec.tolist()])
+        assert loaded.norms[mask].view(np.uint64).tolist() == text.view(np.uint64).tolist()
 
 
 @settings(max_examples=200, deadline=None)

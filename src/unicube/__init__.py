@@ -26,14 +26,14 @@ from .inference import (NullReference, TestReport, asymptotic_test,
 from .power import (PowerEstimate, PowerExperiment, estimate_power, rows_to_csv,
                     run_single, run_table)
 from .special import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
-from .tents import TentNorms, all_tent_norms, null_norm_mean, pair_factor, tent_eval, tent_norm
+from .tents import all_tent_norms, null_norm_mean, pair_factor, tent_eval, tent_norm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlternativeSpec", "AsymptoticNormTable", "GridFunction", "KLConfig",
     "MAX_DIMENSION", "NullReference", "PowerEstimate", "PowerExperiment",
-    "RampComponent", "RandomStream", "Sample", "TentNorms", "TestReport",
+    "RampComponent", "RandomStream", "Sample", "TestReport",
     "all_tent_norms", "asymptotic_cdf", "asymptotic_norm_draws",
     "asymptotic_test", "build_asymptotic_tables", "build_null_reference",
     "chisq_cdf", "chisq_quantile", "copula_cdf", "decompose", "default_nu_max",

@@ -200,9 +200,7 @@ def asymptotic_norm_draws(
         raise ValueError("cardinality must be >= 1")
     if draws < 1:
         raise ValueError("need at least one draw")
-    nu = nu_max if nu_max is not None else default_nu_max(k)
-    if nu < 1:
-        raise ValueError("nu_max must be >= 1")
+    nu = KLConfig(nu_max=nu_max).resolve_nu_max(k)
     weights, counts = weight_classes(k, nu)
     singles = int(np.count_nonzero(counts == 1))
     shared = counts[singles:]

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import __version__
 from .alternatives import parse_alternative
-from .brownian import (KLConfig, asymptotic_norm_draws, default_nu_max,
-                       simulate_sheet, truncated_sheet_covariance,
-                       truncation_tail_mean)
+from .brownian import (KLConfig, asymptotic_norm_draws, simulate_sheet,
+                       truncated_sheet_covariance, truncation_tail_mean)
 from .core import MAX_DIMENSION, RandomStream, Sample, enumerate_subsets
 from .decompose import GridFunction, decompose, reconstruct
 from .inference import (ASYMPTOTIC_MODES, _minp_threshold, asymptotic_test,
@@ -125,7 +124,7 @@ def cmd_test(args) -> int:
         stream = RandomStream(seed)
         draws = 100_000 if args.asym_draws is None else args.asym_draws
         for k in range(1, sample.p + 1):
-            nu = args.nu_max if args.nu_max is not None else default_nu_max(k)
+            nu = KLConfig(nu_max=args.nu_max).resolve_nu_max(k)
             tables[k] = _cached(
                 cache, table_filename(k, nu, draws, seed), load_table,
                 lambda: asymptotic_norm_draws(stream.child(k), k, nu_max=nu, draws=draws),

@@ -41,14 +41,14 @@ CACHE_MAGIC = "unicube-null v2"
 FINITE_MODES = ("m", "s")
 ASYMPTOTIC_MODES = ("m-as", "s-as")
 
-#: Samples per work unit, for null replicates and power trials alike. Each
-#: sample owns its own sub-stream, and the kernel reduces each row on its own
-#: over a fixed pair tile, so neither the grouping nor the thread count
-#: changes a bit of the output.
+#: Samples per work unit of ``_statistic_matrix``, for null replicates and
+#: power trials alike. Each sample owns its own sub-stream, and the kernel
+#: reduces each row on its own over a fixed pair tile, so neither the grouping
+#: nor the thread count changes a bit of the output.
 _REPLICATE_BATCH = 256
 
-#: Largest null statistic matrix (R x #subsets float64 values, in bytes) that
-#: ``build_null_reference`` will allocate.
+#: Largest statistic matrix (R or trials x #subsets float64 values, in bytes)
+#: that ``build_null_reference`` or a power cell will allocate.
 _REFERENCE_BUDGET = 1 << 30
 
 
@@ -104,19 +104,39 @@ class TestReport:
         return "reject" if self.reject else "not-reject"
 
 
-def _run_units(count: int, fill, threads: int) -> None:
-    """Call ``fill(start, stop)`` on each work unit of ``_REPLICATE_BATCH``
-    samples in ``range(count)``, on a thread pool when there are several.
-    The pool has at most one worker per unit and per CPU."""
-    units = [(s, min(s + _REPLICATE_BATCH, count))
-             for s in range(0, count, _REPLICATE_BATCH)]
-    workers = min(threads, len(units), os.cpu_count() or 1)
+def _check_budget(what: str, rows: int, count: int, lower: str) -> None:
+    """Refuse a (rows, count) float64 statistics matrix over the budget."""
+    size = rows * count * 8
+    if size > _REFERENCE_BUDGET:
+        raise ValueError(f"{what} x {count} subsets needs {size / 2**20:,.0f} MiB, over the "
+                         f"{_REFERENCE_BUDGET / 2**20:,.0f} MiB budget; lower {lower}")
+
+
+def _statistic_matrix(draw, count: int, masks: list[int], threads: int) -> np.ndarray:
+    """Statistics of the samples ``draw(i)`` for i in ``range(count)``, one
+    row each, one column per mask: (count, len(masks)).
+
+    Samples are scored in work units of ``_REPLICATE_BATCH``, on a thread
+    pool when there are several; the pool has at most one worker per unit and
+    per CPU. Each row depends on its sample alone, so neither the units nor
+    the thread count change a bit of the result.
+    """
+    out = np.empty((count, len(masks)))
+
+    def fill(start: int) -> None:
+        stop = min(start + _REPLICATE_BATCH, count)
+        out[start:stop] = _norms_for_masks(np.stack([draw(i) for i in range(start, stop)]),
+                                           masks)
+
+    starts = range(0, count, _REPLICATE_BATCH)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda unit: fill(*unit), units))
+            list(pool.map(fill, starts))
     else:
-        for unit in units:
-            fill(*unit)
+        for start in starts:
+            fill(start)
+    return out
 
 
 def null_statistic_matrix(
@@ -132,15 +152,8 @@ def null_statistic_matrix(
     Replicate r draws its sample from ``stream.child(r)``, so the result is
     deterministic for any thread count or execution order.
     """
-    out = np.empty((replicates, len(masks)))
-
-    def fill(start: int, stop: int) -> None:
-        batch = np.stack([stream.child(r).generator().random((n, p))
-                          for r in range(start, stop)])
-        out[start:stop] = _norms_for_masks(batch, masks)
-
-    _run_units(replicates, fill, threads)
-    return out
+    return _statistic_matrix(lambda r: stream.child(r).generator().random((n, p)),
+                             replicates, masks, threads)
 
 
 def build_null_reference(
@@ -150,12 +163,7 @@ def build_null_reference(
     sorted ascending per subset."""
     if R < 1:
         raise ValueError("R must be >= 1")
-    count = subset_count(p, h)
-    size = R * count * 8
-    if size > _REFERENCE_BUDGET:
-        raise ValueError(f"a null reference of R={R} x {count} subsets needs "
-                         f"{size / 2**20:,.0f} MiB, over the "
-                         f"{_REFERENCE_BUDGET / 2**20:,.0f} MiB budget; lower R or h")
+    _check_budget(f"a null reference of R={R}", R, subset_count(p, h), "R or h")
     masks = enumerate_subsets(p, h)
     matrix = null_statistic_matrix(stream, n, p, masks, R, threads=threads)
     norms = {mask: np.sort(matrix[:, i]) for i, mask in enumerate(masks)}
@@ -238,7 +246,7 @@ def run_tests(
         raise ValueError(
             f"reference built for (n={reference.n}, p={reference.p}) cannot score "
             f"a sample with (n={sample.n}, p={sample.p})")
-    stats = all_tent_norms(sample, reference.h).norms
+    stats = all_tent_norms(sample, reference.h)
     pvals = {mask: phat(reference, mask, stat) for mask, stat in stats.items()}
     common = dict(statistics=stats, p_values=pvals, alpha=alpha, n=sample.n,
                   p=sample.p, h=reference.h, R=reference.R, seed=reference.seed)
@@ -296,7 +304,7 @@ def asymptotic_test(
     missing = [k for k in range(1, p + 1) if k not in tables]
     if missing:
         raise ValueError(f"missing limiting-norm tables for cardinalities {missing}")
-    stats = all_tent_norms(sample, p).norms
+    stats = all_tent_norms(sample, p)
     pvals = {mask: 1.0 - asymptotic_cdf(tables[mask.bit_count()], stat)
              for mask, stat in stats.items()}
     aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)

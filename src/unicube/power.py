@@ -18,10 +18,9 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .alternatives import AlternativeSpec, sample_alternative
-from .core import RandomStream, enumerate_subsets
-from .inference import (FINITE_MODES, NullReference, _decide, _run_units,
-                        build_null_reference, phat)
-from .tents import _norms_for_masks
+from .core import RandomStream, enumerate_subsets, subset_count
+from .inference import (FINITE_MODES, NullReference, _check_budget, _decide,
+                        _statistic_matrix, build_null_reference, phat)
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,15 @@ class PowerExperiment:
         for mode in self.modes:
             if mode not in FINITE_MODES:
                 raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")
+        if self.R < 1:
+            raise ValueError("R must be >= 1")
+        p = self.alternative.p
         if self.h is None:
-            object.__setattr__(self, "h", self.alternative.p)
+            object.__setattr__(self, "h", p)
+        if not 1 <= self.h <= p:
+            raise ValueError(f"max cardinality must be in [1, {p}], got {self.h}")
+        _check_budget(f"a power cell of {self.trials} trials", self.trials,
+                      subset_count(p, self.h), "--trials or h")
 
 
 @dataclass(frozen=True)
@@ -71,40 +77,30 @@ def estimate_power(
 
     The null reference is built once (from sub-stream 0 of the experiment
     seed) and shared by every trial; trial t draws its sample from
-    sub-stream 1 + t. Trials are scored in the work units of the reference
-    build, and each mode decides a whole unit in one ``_decide`` call on its
-    (trials, #subsets) block of p-values, keeping one reject bit per trial
-    (that of ``run_tests`` on the same sample), so estimates are
+    sub-stream 1 + t. The trials are scored like null replicates, in work
+    units, into one (trials, #subsets) statistics matrix; then each mode
+    decides the whole cell in one ``_decide`` call on its p-values. A trial's
+    decision is that of ``run_tests`` on the same sample, so estimates are
     deterministic for any thread count or unit size.
     """
     root = RandomStream(experiment.seed)
-    p = experiment.alternative.p
+    spec, n, p = experiment.alternative, experiment.n, experiment.alternative.p
     if reference is None:
-        reference = build_null_reference(root.child(0), experiment.n, p,
-                                         experiment.h, experiment.R, threads=threads)
+        reference = build_null_reference(root.child(0), n, p, experiment.h, experiment.R,
+                                         threads=threads)
     if (reference.n, reference.p, reference.h, reference.R) != (
-            experiment.n, p, experiment.h, experiment.R):
+            n, p, experiment.h, experiment.R):
         raise ValueError("supplied reference does not match the experiment configuration")
 
     trials = experiment.trials
     masks = enumerate_subsets(p, experiment.h)
-    rejected = {mode: np.zeros(trials, dtype=bool) for mode in experiment.modes}
-
-    def fill(start: int, stop: int) -> None:
-        batch = np.stack([sample_alternative(root.child(1 + t), experiment.alternative,
-                                             experiment.n).data
-                          for t in range(start, stop)])
-        stats = _norms_for_masks(batch, masks)
-        pvals = np.column_stack([phat(reference, mask, stats[:, i])
-                                 for i, mask in enumerate(masks)])
-        for mode, bits in rejected.items():
-            bits[start:stop] = _decide(mode, pvals, experiment.alpha)[2]
-
-    _run_units(trials, fill, threads)
-
+    stats = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
+                              trials, masks, threads)
+    pvals = np.column_stack([phat(reference, mask, stats[:, i])
+                             for i, mask in enumerate(masks)])
     out = {}
     for mode in experiment.modes:
-        k = int(rejected[mode].sum())
+        k = int(_decide(mode, pvals, experiment.alpha)[2].sum())
         pi = k / trials if trials else float("nan")
         se = float(np.sqrt(pi * (1.0 - pi) / trials)) if trials else float("nan")
         out[mode] = PowerEstimate(mode=mode, power=pi, se=se, rejections=k, trials=trials)

@@ -19,8 +19,6 @@ number of subsets; only the (batch, subsets) sums grow with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Sample, enumerate_subsets, mask_cardinality
@@ -40,22 +38,6 @@ _BLOCK_BYTES = 8 * 64 * _PAIR_TILE
 def pair_factor(u: float, v: float) -> float:
     """Per-coordinate pair factor (u^2 + v^2)/2 - max(u, v) + 1/3."""
     return (u * u + v * v) / 2.0 - max(u, v) + 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class TentNorms:
-    """Squared tent norms for every enumerated subset of one sample."""
-
-    norms: dict[int, float]
-    n: int
-    p: int
-    h: int
-
-    def __getitem__(self, mask: int) -> float:
-        return self.norms[mask]
-
-    def masks(self) -> list[int]:
-        return list(self.norms.keys())
 
 
 def _pair_factors(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,15 +122,15 @@ def tent_norm(sample: Sample, mask: int) -> float:
     return float(_norms_for_masks(sample.data[None, :, :], [mask])[0, 0])
 
 
-def all_tent_norms(sample: Sample, h: int) -> TentNorms:
-    """Squared norms for every nonempty subset of cardinality <= h.
+def all_tent_norms(sample: Sample, h: int) -> dict[int, float]:
+    """Squared norms for every nonempty subset of cardinality <= h, by mask.
 
     Identical output to calling :func:`tent_norm` per subset, at a fraction
     of the cost.
     """
     masks = enumerate_subsets(sample.p, h)
     values = _norms_for_masks(sample.data[None, :, :], masks)[0]
-    return TentNorms(dict(zip(masks, values.tolist())), sample.n, sample.p, h)
+    return dict(zip(masks, values.tolist()))
 
 
 def tent_eval(sample: Sample, mask: int, t) -> float:

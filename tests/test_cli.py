@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -498,7 +499,8 @@ class TestCacheStep:
 
 
 class TestPowerOptionScope:
-    """``unicube power`` refuses the options that the chosen run would ignore."""
+    """``unicube power`` refuses the options that the chosen run would ignore,
+    and a dry run refuses the values that a real run refuses."""
 
     @pytest.mark.parametrize("argv,message", [
         (["--table", "beta", "--trials", "0", "--rho", "0.3", "--n", "7", "--h", "9"],
@@ -511,6 +513,13 @@ class TestPowerOptionScope:
          "--rho does not apply to --table beta"),
         (["--alternative", "clayton:theta=2", "--trials", "0", "--rho", "0.3"],
          "--rho does not apply to --alternative"),
+        (["--table", "beta", "--trials", "0", "--R", "0"], "R must be >= 1"),
+        (["--alternative", "clayton:theta=2", "--trials", "0", "--R", "-5"],
+         "R must be >= 1"),
+        (["--alternative", "clayton:theta=2", "--trials", "0", "--h", "5"],
+         "max cardinality must be in [1, 2], got 5"),
+        (["--alternative", "clayton:theta=2", "--trials", "0", "--h", "0"],
+         "max cardinality must be in [1, 2], got 0"),
     ])
     def test_refused(self, capsys, argv, message):
         assert main(["power"] + argv) == 2
@@ -531,6 +540,23 @@ class TestPowerOptionScope:
     def test_accepted_forms_pinned(self, capsys, argv, digest):
         assert main(["power"] + argv) == 0
         assert _sha(capsys.readouterr().out) == digest
+
+    def test_oversized_cell_fails_before_allocating(self, capsys):
+        # 200 trials x 2^20 - 1 subsets would need about 1.6 GB.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["power", "--alternative", "normal-copula:rho=0.3,p=20", "--h", "20",
+                         "--trials", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert peak < 16 * 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("MiB budget; lower --trials or h\n")
 
 
 class TestMRuleWarning:

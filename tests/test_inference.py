@@ -121,7 +121,7 @@ def recording_pool(monkeypatch):
 
 
 class TestWorkerCap:
-    """``_run_units`` starts at most one worker per unit and per CPU."""
+    """``_statistic_matrix`` starts at most one worker per unit and per CPU."""
 
     @pytest.mark.parametrize("threads,replicates,workers", [
         (10**9, 9, 4), (3, 9, 3), (10**9, 2, 2), (2, 1, None), (1, 9, None)])

@@ -54,26 +54,28 @@ class TestEstimatePower:
         (AlternativeSpec("clayton", theta=2.0), 25, None, 199),
         (AlternativeSpec("normal-copula", p=6, rho=0.3), 50, 2, 499),
     ])
-    def test_each_decision_matches_run_tests(self, spec, n, h, R):
-        # Oracle: trial t scored on its own by run_tests. The batched path
-        # only reports counts, so trial t's decision is read as the change in
-        # the count when the cell grows from t to t + 1 trials.
+    def test_each_decision_matches_run_tests(self, monkeypatch, spec, n, h, R):
+        # Oracle: trial t scored on its own by run_tests. The cell only
+        # reports counts, so trial t's decision is read as the change in the
+        # count when the cell grows from t to t + 1 trials. Work units of 7
+        # trials put unit boundaries inside the cell.
         trials = 24
         exp = experiment(spec, n=n, trials=trials, h=h, R=R)
         root = RandomStream(exp.seed)
         reference = build_null_reference(root.child(0), n, spec.p, exp.h, R)
-        counts = [{"m": 0, "s": 0}]
-        for t in range(1, trials + 1):
-            out = estimate_power(replace(exp, trials=t), reference=reference)
-            counts.append({mode: est.rejections for mode, est in out.items()})
-        seen = {"m": set(), "s": set()}
-        for t in range(trials):
-            sample = sample_alternative(root.child(1 + t), spec, n)
-            reports = run_tests(sample, reference, exp.alpha)
-            for mode in ("m", "s"):
-                assert counts[t + 1][mode] - counts[t][mode] == reports[mode].reject
-                seen[mode].add(reports[mode].reject)
-        assert seen == {"m": {False, True}, "s": {False, True}}
+        expected = [run_tests(sample_alternative(root.child(1 + t), spec, n), reference,
+                              exp.alpha) for t in range(trials)]
+        for batch in (256, 7):
+            monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", batch)
+            counts = [{"m": 0, "s": 0}]
+            for t in range(1, trials + 1):
+                out = estimate_power(replace(exp, trials=t), reference=reference)
+                counts.append({mode: est.rejections for mode, est in out.items()})
+            for t, reports in enumerate(expected):
+                for mode in ("m", "s"):
+                    assert counts[t + 1][mode] - counts[t][mode] == reports[mode].reject
+        for mode in ("m", "s"):
+            assert {reports[mode].reject for reports in expected} == {False, True}
 
     @pytest.mark.parametrize("modes", [("m-as",), ("x",), ("m", "s-as")])
     def test_unknown_mode_rejected_at_construction(self, modes):
@@ -90,10 +92,10 @@ class TestEstimatePower:
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
 
     @pytest.mark.parametrize("batch", [256, 16])
-    def test_one_quantile_pass_per_unit(self, monkeypatch, batch):
-        # Each work unit decides all its trials at once: one transform call
-        # on at most R distinct values 1 - (k + 1)/(R + 1) and one threshold
-        # call, whatever the number of trials in the unit.
+    def test_one_quantile_pass_per_cell(self, monkeypatch, batch):
+        # The cell is decided once, however many work units score it: one
+        # transform call on at most R distinct values 1 - (k + 1)/(R + 1) and
+        # one threshold call per estimate_power call.
         exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=50,
                               trials=40, R=199, seed=5)
         reference = build_null_reference(RandomStream(5).child(0), 50, 6, 6, 199)
@@ -106,12 +108,15 @@ class TestEstimatePower:
         monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", batch)
         monkeypatch.setattr(unicube.inference, "chisq_quantile", counted)
         out = estimate_power(exp, reference=reference)
-        units = -(-exp.trials // batch)
-        transforms = [size for ndim, size in calls if ndim == 1]
-        assert len(calls) == 2 * units
-        assert len(transforms) == units
-        assert max(transforms) <= exp.R
+        assert sorted(ndim for ndim, _ in calls) == [0, 1]
+        assert max(size for ndim, size in calls if ndim == 1) <= exp.R
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
+
+    def test_oversized_cell_refused_at_construction(self):
+        # 200 trials x 2^20 - 1 subsets would need about 1.6 GB.
+        with pytest.raises(ValueError, match="MiB budget; lower --trials or h"):
+            PowerExperiment(AlternativeSpec("normal-copula", p=20, rho=0.3), n=50,
+                            trials=200, h=20)
 
     def test_mismatched_reference_rejected(self):
         exp = experiment(AlternativeSpec("uniform", p=2), trials=10, R=49)

@@ -126,7 +126,7 @@ class TestAllTentNorms:
     def test_keys_and_marginals(self):
         s = uniform_sample(RandomStream(4), 15, 4)
         norms = all_tent_norms(s, 1)
-        assert norms.masks() == enumerate_subsets(4, 1)
+        assert list(norms) == enumerate_subsets(4, 1)
         for j in range(4):
             column = Sample(s.data[:, [j]])
             assert norms[1 << j] == pytest.approx(tent_norm(column, 1), abs=1e-15)
@@ -136,7 +136,7 @@ class TestAllTentNorms:
         # prod_j (1 + a_j) - 1; summing pairs carries it to the norms.
         s = uniform_sample(RandomStream(5), 12, 3)
         norms = all_tent_norms(s, 3)
-        total = sum(norms[m] for m in norms.masks())
+        total = sum(norms[m] for m in list(norms))
         n = s.n
         expected = 0.0
         for a in range(n):
@@ -152,7 +152,7 @@ class TestAllTentNorms:
         shuffled = Sample(s.data[np.random.default_rng(0).permutation(25)])
         a = all_tent_norms(s, 2)
         b = all_tent_norms(shuffled, 2)
-        for mask in a.masks():
+        for mask in list(a):
             assert a[mask] == b[mask]
 
     def test_column_relabeling_moves_masks(self):

@@ -25,7 +25,7 @@ from .inference import (NullReference, TestReport, asymptotic_test,
                         table_filename)
 from .power import (PowerEstimate, PowerExperiment, estimate_power, rows_to_csv,
                     run_single, run_table)
-from .special import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
+from .special import chisq_quantile, normal_cdf
 from .tents import all_tent_norms, null_norm_mean, pair_factor, tent_eval, tent_norm
 
 __version__ = "0.1.0"
@@ -36,10 +36,10 @@ __all__ = [
     "RampComponent", "RandomStream", "Sample", "TestReport",
     "all_tent_norms", "asymptotic_cdf", "asymptotic_norm_draws",
     "asymptotic_test", "build_asymptotic_tables", "build_null_reference",
-    "chisq_cdf", "chisq_quantile", "copula_cdf", "decompose", "default_nu_max",
+    "chisq_quantile", "copula_cdf", "decompose", "default_nu_max",
     "enumerate_subsets", "estimate_power", "grid_coords", "load_reference",
     "load_table", "m_test", "mask_cardinality", "mask_label", "mask_members",
-    "normal_cdf", "normal_quantile", "null_norm_mean", "pair_factor",
+    "normal_cdf", "null_norm_mean", "pair_factor",
     "parse_alternative", "phat", "ramp_values", "reconstruct",
     "reference_filename", "render_report", "report_json", "rows_to_csv",
     "run_single", "run_table", "run_tests", "s_test", "sample_alternative",

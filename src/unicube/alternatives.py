@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .core import MAX_DIMENSION, RandomStream, Sample
+from .core import RandomStream, Sample, _check_family
 from .special import normal_cdf
 
 FAMILIES = ("uniform", "amh", "fgm", "clayton", "plackett", "beta-iid", "normal-copula")
@@ -40,8 +40,7 @@ class AlternativeSpec:
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; supported: {', '.join(FAMILIES)}")
-        if not 1 <= self.p <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.p}")
+        _check_family(self.p, 1)
         if self.family in _BIVARIATE:
             if self.p != 2:
                 raise ValueError(f"{self.family} copula requires p=2")

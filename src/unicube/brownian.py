@@ -187,14 +187,12 @@ def asymptotic_norm_draws(
     k: int,
     nu_max: int | None = None,
     draws: int = 100_000,
-    tail_compensation: bool = True,
 ) -> AsymptoticNormTable:
     """Simulate ``draws`` values of the limiting squared tent norm.
 
     Each draw is the truncated weighted chi-square sum, drawn with one
-    variate per weight class (:func:`weight_classes`); with
-    ``tail_compensation`` the deterministic tail mean
-    :func:`truncation_tail_mean` is added to every draw.
+    variate per weight class (:func:`weight_classes`), plus the
+    deterministic tail mean :func:`truncation_tail_mean`.
     """
     if k < 1:
         raise ValueError("cardinality must be >= 1")
@@ -204,7 +202,7 @@ def asymptotic_norm_draws(
     weights, counts = weight_classes(k, nu)
     singles = int(np.count_nonzero(counts == 1))
     shared = counts[singles:]
-    shift = truncation_tail_mean(k, nu) if tail_compensation else 0.0
+    shift = truncation_tail_mean(k, nu)
     out = np.empty(draws)
     n_classes = weights.shape[0]
     block_draws = max(1, _BLOCK_ELEMENTS // n_classes)

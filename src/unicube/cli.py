@@ -21,10 +21,10 @@ from . import __version__
 from .alternatives import parse_alternative
 from .brownian import (KLConfig, asymptotic_norm_draws, simulate_sheet,
                        truncated_sheet_covariance, truncation_tail_mean)
-from .core import MAX_DIMENSION, RandomStream, Sample, enumerate_subsets
+from .core import RandomStream, Sample, subset_count
 from .decompose import GridFunction, decompose, reconstruct
-from .inference import (ASYMPTOTIC_MODES, _minp_threshold, asymptotic_test,
-                        build_null_reference, load_reference, load_table,
+from .inference import (ASYMPTOTIC_MODES, _check_alpha, _minp_threshold,
+                        asymptotic_test, build_null_reference, load_reference, load_table,
                         reference_filename, render_report, report_json, run_tests,
                         save_reference, save_table, table_filename)
 from .power import TABLE_IDS, _grid_cells, rows_to_csv, run_single, run_table
@@ -89,7 +89,7 @@ def _warn_m_rule(modes, R, alpha, shapes) -> None:
     """Say on stderr when the m rule cannot reject: its smallest p-value,
     1/(R+1), is not below the per-subset cutoff of the largest family among
     the (p, h) ``shapes`` run."""
-    subsets = max(len(enumerate_subsets(p, h)) for p, h in shapes)
+    subsets = max(subset_count(p, h) for p, h in shapes)
     cutoff = _minp_threshold(alpha, subsets)
     if "m" in modes and 1.0 / (R + 1) >= cutoff:
         print(f"warning: the m rule cannot reject: 1/(R+1)={1.0 / (R + 1):.3g} is not below "
@@ -111,10 +111,9 @@ def cmd_test(args) -> int:
         ("--h", args.h, not asymptotic), ("--R", args.R, not asymptotic),
         ("--threads", args.threads, not asymptotic),
         ("--asym-draws", args.asym_draws, asymptotic), ("--nu-max", args.nu_max, asymptotic)])
+    _check_alpha(args.alpha)
     sample = _read_sample(args.input, args.header)
     h = args.h if args.h is not None else sample.p
-    if not 1 <= h <= sample.p:
-        raise ValueError(f"h must be in [1, {sample.p}], got {h}")
     modes = ("m", "s") if args.mode == "both" else (args.mode,)
     cache, seed = args.null_cache, args.seed
     R = 999 if args.R is None else args.R
@@ -153,10 +152,6 @@ def cmd_test(args) -> int:
 
 
 def cmd_null(args) -> int:
-    if not 1 <= args.p <= MAX_DIMENSION:
-        raise ValueError(f"p must be in [1, {MAX_DIMENSION}], got {args.p}")
-    if not 1 <= args.h <= args.p:
-        raise ValueError(f"h must be in [1, {args.p}], got {args.h}")
     reference = build_null_reference(RandomStream(args.seed), args.n, args.p,
                                      args.h, args.R, threads=args.threads)
     if args.out:

@@ -72,8 +72,7 @@ class Sample:
         n, p = arr.shape
         if n < 1:
             raise ValueError("sample needs at least one observation")
-        if not 1 <= p <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
+        _check_family(p, 1)
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample contains NaN or infinite entries")
         if arr.min() < 0.0 or arr.max() > 1.0:
@@ -119,16 +118,22 @@ def mask_label(mask: int) -> str:
     return "{" + ",".join(str(j + 1) for j in mask_members(mask)) + "}"
 
 
+def _check_family(p: int, h: int) -> None:
+    """Refuse a dimension outside [1, MAX_DIMENSION] or a max cardinality
+    outside [1, p]: the one check of every subset family."""
+    if not 1 <= p <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
+    if not 1 <= h <= p:
+        raise ValueError(f"max cardinality must be in [1, {p}], got {h}")
+
+
 def enumerate_subsets(p: int, h: int) -> list[int]:
     """All nonempty coordinate subsets of {1..p} with cardinality <= h.
 
     Ordered by increasing cardinality, then increasing bit-pattern value.
     The length is sum_{k=1..h} C(p, k).
     """
-    if not 1 <= p <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
-    if not 1 <= h <= p:
-        raise ValueError(f"max cardinality must be in [1, {p}], got {h}")
+    _check_family(p, h)
     masks: list[int] = []
     for k in range(1, h + 1):
         tier = sorted(sum(1 << j for j in c) for c in combinations(range(p), k))
@@ -138,6 +143,7 @@ def enumerate_subsets(p: int, h: int) -> list[int]:
 
 def subset_count(p: int, h: int) -> int:
     """len(enumerate_subsets(p, h)) without building the list."""
+    _check_family(p, h)
     return sum(comb(p, k) for k in range(1, h + 1))
 
 
@@ -145,6 +151,5 @@ def uniform_sample(stream: RandomStream, n: int, p: int) -> Sample:
     """n i.i.d. Uniform[0,1) rows in dimension p, deterministic per stream."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 1 <= p <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
+    _check_family(p, 1)
     return Sample(stream.generator().random((n, p)))

@@ -104,6 +104,11 @@ class TestReport:
         return "reject" if self.reject else "not-reject"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 def _check_budget(what: str, rows: int, count: int, lower: str) -> None:
     """Refuse a (rows, count) float64 statistics matrix over the budget."""
     size = rows * count * 8
@@ -163,6 +168,8 @@ def build_null_reference(
     sorted ascending per subset."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_budget(f"a null reference of R={R}", R, subset_count(p, h), "R or h")
     masks = enumerate_subsets(p, h)
     matrix = null_statistic_matrix(stream, n, p, masks, R, threads=threads)
@@ -204,7 +211,9 @@ def _decide(mode: str, pvals: np.ndarray, alpha: float):
     values), sums each row with ``math.fsum`` and compares the sums with the
     quantile of 1 - alpha, taken by the same function so that a single-subset
     family ties with the m rule at p == alpha. The quantile is elementwise,
-    so a row decides the same bits in any block.
+    so a row decides the same bits in any block. The s rule reads the block
+    in slices of ``_REPLICATE_BATCH`` rows, so its work arrays are of one
+    slice's size, whatever the block's.
     """
     block = np.atleast_2d(pvals)
     family_size = block.shape[1]
@@ -213,12 +222,16 @@ def _decide(mode: str, pvals: np.ndarray, alpha: float):
         threshold = _minp_threshold(alpha, family_size)
         reject = aggregate < threshold
     else:
-        u = 1.0 - block
-        distinct = np.unique(u)
+        slices = [slice(start, start + _REPLICATE_BATCH)
+                  for start in range(0, block.shape[0], _REPLICATE_BATCH)]
+        distinct = np.empty(0)
+        for rows in slices:
+            distinct = np.union1d(distinct, 1.0 - block[rows])
         q = np.where(distinct >= 1.0, math.inf, 0.0)
         inner = (distinct > 0.0) & (distinct < 1.0)
         q[inner] = chisq_quantile(distinct[inner], 1)
-        aggregate = np.array([math.fsum(row) for row in q[np.searchsorted(distinct, u)]])
+        aggregate = np.array([math.fsum(row) for rows in slices
+                              for row in q[np.searchsorted(distinct, 1.0 - block[rows])]])
         threshold = chisq_quantile(1.0 - alpha, family_size)
         reject = aggregate > threshold
     if np.ndim(pvals) == 1:
@@ -237,8 +250,7 @@ def run_tests(
     The per-subset statistics and p-values are computed once and shared by
     all requested modes.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     unknown = [m for m in modes if m not in FINITE_MODES]
     if unknown:
         raise ValueError(f"unknown finite-sample mode(s) {unknown}; use 'm' or 's'")
@@ -298,8 +310,7 @@ def asymptotic_test(
     """
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(f"unknown asymptotic mode {mode!r}; use 'm-as' or 's-as'")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     p = sample.p
     missing = [k for k in range(1, p + 1) if k not in tables]
     if missing:

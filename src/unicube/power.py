@@ -19,8 +19,8 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, sample_alternative
 from .core import RandomStream, enumerate_subsets, subset_count
-from .inference import (FINITE_MODES, NullReference, _check_budget, _decide,
-                        _statistic_matrix, build_null_reference, phat)
+from .inference import (FINITE_MODES, NullReference, _check_alpha, _check_budget,
+                        _decide, _statistic_matrix, build_null_reference, phat)
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class PowerExperiment:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         for mode in self.modes:
@@ -51,8 +50,6 @@ class PowerExperiment:
         p = self.alternative.p
         if self.h is None:
             object.__setattr__(self, "h", p)
-        if not 1 <= self.h <= p:
-            raise ValueError(f"max cardinality must be in [1, {p}], got {self.h}")
         _check_budget(f"a power cell of {self.trials} trials", self.trials,
                       subset_count(p, self.h), "--trials or h")
 
@@ -96,8 +93,9 @@ def estimate_power(
     masks = enumerate_subsets(p, experiment.h)
     stats = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
                               trials, masks, threads)
-    pvals = np.column_stack([phat(reference, mask, stats[:, i])
-                             for i, mask in enumerate(masks)])
+    pvals = np.empty_like(stats)
+    for i, mask in enumerate(masks):
+        pvals[:, i] = phat(reference, mask, stats[:, i])
     out = {}
     for mode in experiment.modes:
         k = int(_decide(mode, pvals, experiment.alpha)[2].sum())

@@ -177,6 +177,18 @@ class TestCmdTest:
         tables = [table_filename(k, default_nu_max(k), 2000, 4) for k in range(1, 7)]
         assert names == sorted(tables)
 
+    @pytest.mark.parametrize("mode,alpha,options", [
+        ("both", "1.5", ["--R", "99"]),
+        ("s-as", "0", ["--asym-draws", "500"]),
+    ])
+    def test_alpha_checked_before_cache_work(self, uniform_csv, tmp_path, capsys, mode,
+                                             alpha, options):
+        cache = tmp_path / "cache"
+        assert main(["test", str(uniform_csv), "--mode", mode, "--alpha", alpha,
+                     "--null-cache", str(cache)] + options) == 2
+        assert capsys.readouterr() == ("", "error: alpha must be in (0, 1)\n")
+        assert not cache.exists()
+
 
 def _listing(cache):
     """Name, modification time and inode of every file in the cache (a
@@ -238,6 +250,14 @@ class TestCmdNull:
 
     def test_h_exceeding_p_fails(self, capsys):
         assert main(["null", "--n", "10", "--p", "2", "--h", "3", "--R", "9"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_refused(self, tmp_path, capsys, n):
+        out = tmp_path / "ref.txt"
+        assert main(["null", "--n", n, "--p", "2", "--h", "2", "--R", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: n must be >= 1\n")
+        assert not out.exists()
 
     def test_cache_dir_naming(self, tmp_path):
         assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
@@ -500,32 +520,51 @@ class TestCacheStep:
 
 class TestPowerOptionScope:
     """``unicube power`` refuses the options that the chosen run would ignore,
-    and a dry run refuses the values that a real run refuses."""
+    and a dry run refuses the values that a real run refuses. An out-of-range
+    dimension or max cardinality reads the same from ``null``, ``test`` and
+    ``power``, and writes nothing."""
 
     @pytest.mark.parametrize("argv,message", [
-        (["--table", "beta", "--trials", "0", "--rho", "0.3", "--n", "7", "--h", "9"],
+        (["power", "--table", "beta", "--trials", "0", "--rho", "0.3", "--n", "7",
+          "--h", "9"],
          "--n does not apply to --table beta"),
-        (["--table", "partial", "--trials", "0", "--n", "20"],
+        (["power", "--table", "partial", "--trials", "0", "--n", "20"],
          "--n does not apply to --table partial"),
-        (["--table", "copulas", "--trials", "0", "--h", "2"],
+        (["power", "--table", "copulas", "--trials", "0", "--h", "2"],
          "--h does not apply to --table copulas"),
-        (["--table", "beta", "--trials", "0", "--rho", "0.3"],
+        (["power", "--table", "beta", "--trials", "0", "--rho", "0.3"],
          "--rho does not apply to --table beta"),
-        (["--alternative", "clayton:theta=2", "--trials", "0", "--rho", "0.3"],
+        (["power", "--alternative", "clayton:theta=2", "--trials", "0", "--rho", "0.3"],
          "--rho does not apply to --alternative"),
-        (["--table", "beta", "--trials", "0", "--R", "0"], "R must be >= 1"),
-        (["--alternative", "clayton:theta=2", "--trials", "0", "--R", "-5"],
+        (["power", "--table", "beta", "--trials", "0", "--R", "0"], "R must be >= 1"),
+        (["power", "--alternative", "clayton:theta=2", "--trials", "0", "--R", "-5"],
          "R must be >= 1"),
-        (["--alternative", "clayton:theta=2", "--trials", "0", "--h", "5"],
+        (["power", "--alternative", "clayton:theta=2", "--trials", "0", "--h", "5"],
          "max cardinality must be in [1, 2], got 5"),
-        (["--alternative", "clayton:theta=2", "--trials", "0", "--h", "0"],
+        (["power", "--alternative", "clayton:theta=2", "--trials", "0", "--h", "0"],
+         "max cardinality must be in [1, 2], got 0"),
+        (["power", "--alternative", "normal-copula:rho=0.3,p=21", "--trials", "0"],
+         "dimension must be in [1, 20], got 21"),
+        (["null", "--n", "10", "--p", "0", "--h", "1", "--R", "9", "--out", "{written}"],
+         "dimension must be in [1, 20], got 0"),
+        (["null", "--n", "10", "--p", "21", "--h", "2", "--R", "9", "--out", "{written}"],
+         "dimension must be in [1, 20], got 21"),
+        (["null", "--n", "10", "--p", "2", "--h", "3", "--R", "9", "--out", "{written}"],
+         "max cardinality must be in [1, 2], got 3"),
+        (["null", "--n", "10", "--p", "2", "--h", "0", "--R", "9", "--out", "{written}"],
+         "max cardinality must be in [1, 2], got 0"),
+        (["test", "{csv}", "--h", "3", "--null-cache", "{written}"],
+         "max cardinality must be in [1, 2], got 3"),
+        (["test", "{csv}", "--h", "0", "--null-cache", "{written}"],
          "max cardinality must be in [1, 2], got 0"),
     ])
-    def test_refused(self, capsys, argv, message):
-        assert main(["power"] + argv) == 2
+    def test_refused(self, uniform_csv, tmp_path, capsys, argv, message):
+        written = tmp_path / "written"
+        assert main([arg.format(csv=uniform_csv, written=written) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not written.exists()
 
     @pytest.mark.parametrize("argv,digest", [
         (["--table", "partial", "--rho", "0.3", "--trials", "0"],

@@ -1,5 +1,7 @@
 """Domain types: subset enumeration, sample validation, random streams."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ class TestEnumerateSubsets:
     def test_invalid_arguments(self, p, h):
         with pytest.raises(ValueError):
             enumerate_subsets(p, h)
+
+    @pytest.mark.parametrize("p,h,message", [
+        (3, 0, "max cardinality must be in [1, 3], got 0"),
+        (3, 4, "max cardinality must be in [1, 3], got 4"),
+        (0, 1, "dimension must be in [1, 20], got 0"),
+        (25, 1, "dimension must be in [1, 20], got 25"),
+    ])
+    def test_list_and_count_share_one_rule(self, p, h, message):
+        for family in (enumerate_subsets, subset_count):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                family(p, h)
 
 
 class TestMaskHelpers:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,21 @@ class TestEstimatePower:
         assert sorted(ndim for ndim, _ in calls) == [0, 1]
         assert max(size for ndim, size in calls if ndim == 1) <= exp.R
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
+
+    def test_cell_peak_memory_bounded(self):
+        # A cell holds its statistics matrix (8,000 trials x 63 subsets,
+        # 3.8 MiB) and its p-values; the s rule's work arrays are of one
+        # slice's size, so the peak stays within three such matrices.
+        exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=20,
+                              trials=8000, R=99, seed=3)
+        tracemalloc.start()
+        try:
+            out = estimate_power(exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * exp.trials * 63 * 8
+        assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 3935}
 
     def test_oversized_cell_refused_at_construction(self):
         # 200 trials x 2^20 - 1 subsets would need about 1.6 GB.

@@ -39,6 +39,11 @@ from .decompose import ramp_values
 #: configuration, so results are independent of execution order and thread
 #: count.
 _BLOCK_ELEMENTS = 1 << 23
+#: Size of the scratch (1 MB) through which each block's variates are drawn
+#: a few rows at a time into the one block array that every block reuses, so
+#: that no second block-sized array is made. The draw order, and so every
+#: value, is that of one call per block.
+_SCRATCH_ELEMENTS = 1 << 17
 
 #: Version of the norm-table stream layout, recorded in table cache files so
 #: that tables drawn by an older layout are never mixed with new ones.
@@ -206,13 +211,25 @@ def asymptotic_norm_draws(
     out = np.empty(draws)
     n_classes = weights.shape[0]
     block_draws = max(1, _BLOCK_ELEMENTS // n_classes)
+    terms = np.empty((min(block_draws, draws), n_classes))
+    # A chi-square(m) variate is twice a gamma(m/2) one. Each block draws all
+    # its normals, then all its gammas, a scratch of rows at a time.
+    width = max(singles, shared.shape[0], 1)
+    chunk = max(1, _SCRATCH_ELEMENTS // width)
+    scratch = np.empty(chunk * width)
+    half = shared / 2.0
     for block, start in enumerate(range(0, draws, block_draws)):
         rows = min(start + block_draws, draws) - start
         gen = stream.child(block).generator()
-        terms = np.empty((rows, n_classes))
-        terms[:, :singles] = gen.standard_normal((rows, singles)) ** 2
-        terms[:, singles:] = gen.chisquare(shared, size=(rows, shared.shape[0]))
-        out[start:start + rows] = terms @ weights + shift
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            normals = scratch[:(hi - lo) * singles].reshape(hi - lo, singles)
+            np.square(gen.standard_normal(out=normals), out=terms[lo:hi, :singles])
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            gammas = scratch[:(hi - lo) * half.size].reshape(hi - lo, half.size)
+            np.multiply(gen.standard_gamma(half, out=gammas), 2.0, out=terms[lo:hi, singles:])
+        out[start:start + rows] = terms[:rows] @ weights + shift
     out.sort()
     return AsymptoticNormTable(k=k, draws=out, nu_max=nu, seed=stream.seed)
 

@@ -12,9 +12,14 @@ and a batch of samples is scored in blocks of rows, so that one block's
 products over one tile stay cache-sized. Within a tile the per-subset
 products are built depth first from the product of the subset minus its
 lowest bit, so a whole family of subsets costs barely more than a single one
-and only one product per cardinality is held at a time: the pairwise arrays
-are bounded by one row block times one tile, not by the batch, n^2 or the
-number of subsets; only the (batch, subsets) sums grow with them.
+and only one product per cardinality is held at a time. The work arrays
+(the block's pair factors, one product per depth, the block's sums) are
+allocated once per call and every step writes into them, and the pair
+indices are built a fixed number of pairs at a time from O(n) row ends. So
+the pairwise arrays are bounded by one row block times one tile and the
+indices by a constant, not by the batch, n^2 or the number of subsets. Only
+the (subsets, batch) result grows with the batch, and it and the block's
+sums with the number of subsets.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ _PAIR_TILE = 512
 #: block as fit, 64 at a full tile and more when n is small enough that the
 #: single tile is short. Rows are reduced one by one, so this moves no bit.
 #: Half this size makes each numpy call so short that two scoring threads
-#: spend their time handing the interpreter lock to each other.
+#: spend their time handing the interpreter lock to each other. Pair factors
+#: are computed in slabs of as many coordinates as fit in this size: one at
+#: a full block, so that each operand stays in L2, and all p for a single
+#: sample, so that its call makes no more numpy calls than one slab.
 _BLOCK_BYTES = 8 * 64 * _PAIR_TILE
 
 
@@ -40,26 +48,51 @@ def pair_factor(u: float, v: float) -> float:
     return (u * u + v * v) / 2.0 - max(u, v) + 1.0 / 3.0
 
 
-def _pair_factors(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pair factor f(u, v) elementwise, for gathered coordinate arrays."""
-    return (u * u + v * v) / 2.0 - np.maximum(u, v) + 1.0 / 3.0
+def _pair_factors(block: np.ndarray, ta: np.ndarray, tb: np.ndarray,
+                  out: np.ndarray, scratch: np.ndarray) -> None:
+    """Pair factor f(u, v) of the pairs (ta, tb) of a (p, rows, n) block, into
+    ``out`` of shape (p, rows, pairs).
+
+    The coordinates go in slabs of as many as fit in ``_BLOCK_BYTES``, each
+    gathered and combined in place through the two rows of ``scratch``, in
+    the operation order of :func:`pair_factor`, so each value has its bits.
+    """
+    p, rows, pairs = out.shape
+    step = max(1, _BLOCK_BYTES // (8 * rows * pairs))
+    # Every index is in range; "clip" spares the copy of ``out`` that numpy
+    # makes under the default "raise".
+    for lo in range(0, p, step):
+        u = out[lo:lo + step]
+        v = scratch[0, :u.size].reshape(u.shape)
+        top = scratch[1, :u.size].reshape(u.shape)
+        block[lo:lo + step].take(ta, axis=2, out=u, mode="clip")
+        block[lo:lo + step].take(tb, axis=2, out=v, mode="clip")
+        np.maximum(u, v, out=top)
+        u *= u
+        v *= v
+        u += v
+        u /= 2.0
+        u -= top
+        u += 1.0 / 3.0
 
 
 def _subset_product(mask: int, prod: np.ndarray, factors: np.ndarray,
                     children: dict[int, list[tuple[int, int]]], columns: dict[int, int],
-                    sums: list) -> None:
+                    sums: np.ndarray, levels: list[np.ndarray]) -> None:
     """Depth-first walk from ``mask``, whose product over the tile is ``prod``.
 
     product(H | 1<<j) = product(H) * factor(j) for each child listed in
     ``children`` (j below the lowest bit of H): the lowest-bit recurrence read
-    from the top, so only one product per cardinality is alive at a time. A
-    requested mask stores the per-row sum of its product in ``sums[column]``.
+    from the top, so each depth needs one product, written into its buffer,
+    the first of ``levels``. A requested mask writes the per-row sum of its
+    product into ``sums[column]``.
     """
     col = columns.get(mask)
     if col is not None:
-        sums[col] = prod.sum(axis=-1)
+        prod.sum(axis=-1, out=sums[col])
     for j, child in children[mask]:
-        _subset_product(child, prod * factors[j], factors, children, columns, sums)
+        _subset_product(child, np.multiply(prod, factors[j], out=levels[0]), factors,
+                        children, columns, sums, levels[1:])
 
 
 def _canonical_rows(points: np.ndarray) -> np.ndarray:
@@ -73,6 +106,29 @@ def _canonical_rows(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def _pair_tiles(n: int):
+    """The pairs a <= b of n rows in row-major order, as ``(a, b, weight)``
+    per tile of ``_PAIR_TILE`` pairs, the weight 1 on the diagonal and 2 off it.
+
+    With ends[a] the index just past row a's last pair, pair k lies in row
+    a, the number of row ends at or before k, and is (a, k - ends[a] + n).
+    The indices are built from the n row ends for ``_BLOCK_BYTES // 8``
+    pairs (64 tiles) at a time, so they take a fixed size however large n is.
+    """
+    ends = np.cumsum(np.arange(n, 0, -1))
+    pairs = int(ends[-1])
+    for lo in range(0, pairs, _BLOCK_BYTES // 8):
+        hi = min(lo + _BLOCK_BYTES // 8, pairs)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        ta = np.repeat(np.arange(first, last + 1),
+                       np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo))
+        tb = np.arange(lo, hi) - ends[ta] + n
+        weight = np.where(ta == tb, 1.0, 2.0)
+        for start in range(0, hi - lo, _PAIR_TILE):
+            yield (ta[start:start + _PAIR_TILE], tb[start:start + _PAIR_TILE],
+                   weight[start:start + _PAIR_TILE])
+
+
 def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks)).
 
@@ -81,10 +137,16 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     on the diagonal, 2 off it, so exact) is the product of the empty subset
     and every product is C-contiguous, so each row is reduced by the same
     per-row sums, added tile by tile in tile order, whatever the batch size.
+    The factors, the products and the sums of a (block, tile) step are
+    written into work arrays allocated once per call, sized for the largest
+    step and viewed C-contiguous at the shape of each.
     """
     b, n, p = batch.shape
-    coords = np.ascontiguousarray(
-        np.stack([_canonical_rows(item) for item in batch]).transpose(2, 0, 1))
+    # Coordinate-major and C-contiguous, so that each gather reads along a
+    # contiguous row of n values.
+    coords = np.empty((p, b, n))
+    for i, item in enumerate(batch):
+        coords[:, i] = _canonical_rows(item).T
     columns = {mask: col for col, mask in enumerate(masks)}
     need = {0}
     for mask in masks:
@@ -96,21 +158,31 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     children = {mask: [(j, mask | 1 << j)
                        for j in range((mask & -mask).bit_length() - 1 if mask else p)
                        if mask | 1 << j in need] for mask in need}
-    ia, ib = np.triu_indices(n)
-    tiles = []
-    for lo in range(0, ia.size, _PAIR_TILE):
-        ta, tb = ia[lo:lo + _PAIR_TILE], ib[lo:lo + _PAIR_TILE]
-        tiles.append((ta, tb, np.where(ta == tb, 1.0, 2.0)))
-    rows = _BLOCK_BYTES // (8 * min(_PAIR_TILE, ia.size))
+    pairs = n * (n + 1) // 2
+    tile = min(_PAIR_TILE, pairs)
+    rows = min(b, _BLOCK_BYTES // (8 * tile))
+    factors = np.empty(p * rows * tile)
+    scratch = np.empty((2, min(factors.size, _BLOCK_BYTES // 8)))
+    products = np.empty((max(map(mask_cardinality, masks)), rows * tile))
+    sums = np.empty((len(masks), rows))
     acc = np.zeros((len(masks), b))
-    sums: list = [None] * len(masks)
-    for start in range(0, b, rows):
-        block = coords[:, start:start + rows]
-        for ta, tb, weight in tiles:
-            factors = _pair_factors(block.take(ta, axis=2), block.take(tb, axis=2))
-            _subset_product(0, weight, factors, children, columns, sums)
-            acc[:, start:start + rows] += sums
-    return acc.T / n
+    # Views of the work arrays, made once per step shape: only the last block
+    # and the last tile differ from the first.
+    views = {}
+    for ta, tb, weight in _pair_tiles(n):
+        for start in range(0, b, rows):
+            shape = (min(rows, b - start), ta.size)
+            if shape not in views:
+                size = shape[0] * shape[1]
+                views[shape] = (factors[:p * size].reshape(p, *shape),
+                                [level[:size].reshape(shape) for level in products],
+                                sums[:, :shape[0]])
+            block_factors, levels, block_sums = views[shape]
+            _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, scratch)
+            _subset_product(0, weight, block_factors, children, columns, block_sums, levels)
+            acc[:, start:start + shape[0]] += block_sums
+    acc /= n
+    return acc.T
 
 
 def tent_norm(sample: Sample, mask: int) -> float:

@@ -1,5 +1,6 @@
 """Gaussian tent simulation, sheet assembly, and limiting-norm tables."""
 
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -234,6 +235,37 @@ class TestWeightClasses:
         expected = np.sort((z * z) @ weights + truncation_tail_mean(1, nu))
         table = asymptotic_norm_draws(stream, 1, draws=draws)
         assert table.draws.tobytes() == expected.tobytes()
+
+    def test_blocks_drawn_through_the_scratch_keep_their_bits(self, monkeypatch):
+        # Three blocks of at most 700 draws, each filled a few rows at a time:
+        # bit-equal to one normal call and then one chi-square call per block.
+        k, draws, stream = 2, 2000, RandomStream(72)
+        weights, counts = weight_classes(k, default_nu_max(k))
+        singles = int(np.count_nonzero(counts == 1))
+        monkeypatch.setattr(unicube.brownian, "_BLOCK_ELEMENTS", 700 * weights.size)
+        monkeypatch.setattr(unicube.brownian, "_SCRATCH_ELEMENTS", 1 << 15)
+        parts = []
+        for block, start in enumerate(range(0, draws, 700)):
+            rows = min(700, draws - start)
+            gen = stream.child(block).generator()
+            terms = np.empty((rows, weights.size))
+            terms[:, :singles] = gen.standard_normal((rows, singles)) ** 2
+            terms[:, singles:] = gen.chisquare(counts[singles:],
+                                               size=(rows, weights.size - singles))
+            parts.append(terms @ weights + truncation_tail_mean(k, default_nu_max(k)))
+        expected = np.sort(np.concatenate(parts))
+        table = asymptotic_norm_draws(stream, k, draws=draws)
+        assert table.draws.tobytes() == expected.tobytes()
+
+    def test_peak_one_block_array(self):
+        # 2,000 draws over 1,263 weight classes fill one 19.3 MiB block; a
+        # second array of the chi-square variates took the peak to 38.0 MiB.
+        tracemalloc.start()
+        try:
+            asymptotic_norm_draws(RandomStream(5), 2, draws=2000)
+            assert tracemalloc.get_traced_memory()[1] < 24 * 2**20
+        finally:
+            tracemalloc.stop()
 
 
 def _imhof_cdf(x: float, weights: np.ndarray, counts: np.ndarray) -> float:

@@ -174,14 +174,18 @@ def _block_rows(n):
 class TestRowBlocks:
     # Batches of whole blocks plus extra rows: ending inside, at and past a
     # block boundary. n=50 fills 512-pair tiles; n=20 has one tile of 210
-    # pairs, so its blocks hold more rows.
-    @pytest.mark.parametrize("n", [20, 50])
+    # pairs, so its blocks hold more rows. At p=10 a batched call computes
+    # its pair factors in slabs of one or a few coordinates, and a one-row
+    # call in one slab of all ten.
+    @pytest.mark.parametrize("n,p", [pytest.param(20, 4, id="20"), pytest.param(50, 4, id="50"),
+                                     pytest.param(20, 10, id="20-p10"),
+                                     pytest.param(50, 10, id="50-p10")])
     @pytest.mark.parametrize("blocks,extra", [(0, 31), (0, 32), (0, 33), (0, 70),
                                               (1, -1), (1, 0), (1, 1), (2, 6)])
-    def test_rows_equal_their_one_row_calls(self, n, blocks, extra):
+    def test_rows_equal_their_one_row_calls(self, n, p, blocks, extra):
         b = blocks * _block_rows(n) + extra
-        batch = np.random.default_rng(b).random((b, n, 4))
-        masks = enumerate_subsets(4, 4)
+        batch = np.random.default_rng(b).random((b, n, p))
+        masks = enumerate_subsets(p, 4)
         whole = _norms_for_masks(batch, masks)
         singles = np.array([_norms_for_masks(item[None], masks)[0] for item in batch])
         assert singles.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
@@ -209,6 +213,44 @@ class TestKernelMemory:
     @pytest.mark.parametrize("n,p,h", [(200, 3, 3), (50, 10, 3), (50, 6, 6)])
     def test_peak_does_not_grow_with_the_batch(self, n, p, h):
         assert _kernel_peak((256, n, p), h) < 2 * _kernel_peak((_block_rows(n), n, p), h)
+
+    # The factors, products and sums of every step go into work arrays made
+    # once per call, and the factors are computed one coordinate at a time:
+    # with whole-gather temporaries these calls peaked at 14.0 and 8.3 MiB.
+    @pytest.mark.parametrize("shape,h,mib", [((256, 50, 10), 3, 9), ((256, 50, 6), 6, 6)])
+    def test_work_arrays_allocated_once(self, shape, h, mib):
+        assert _kernel_peak(shape, h) < mib * 2**20
+
+    def test_wide_family_sums_written_in_place(self):
+        # 16,383 subsets of 64 rows: the sums and the result take 8 MiB each.
+        # Stacking a list of per-subset sums and dividing into a copy took
+        # the peak to 32.5 MiB.
+        assert _kernel_peak((64, 20, 14), 14) < 28 * 2**20
+
+    def test_pair_indices_do_not_grow_with_n(self):
+        # 4.5 million pairs: an n x n mask and full index arrays took the
+        # peak to 106.5 MiB.
+        sample = uniform_sample(RandomStream(3), 3000, 2)
+        tracemalloc.start()
+        try:
+            all_tent_norms(sample, 2)
+            assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+        finally:
+            tracemalloc.stop()
+
+
+class TestPairTiles:
+    # n=256 and n=300 have more pairs than one batch of index arrays holds.
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 256, 300])
+    def test_tiles_cut_the_row_major_pairs(self, n):
+        tiles = list(tents._pair_tiles(n))
+        ia, ib = np.triu_indices(n)
+        assert [ta.size for ta, _, _ in tiles] == [
+            min(tents._PAIR_TILE, ia.size - lo) for lo in range(0, ia.size, tents._PAIR_TILE)]
+        assert np.concatenate([ta for ta, _, _ in tiles]).tolist() == ia.tolist()
+        assert np.concatenate([tb for _, tb, _ in tiles]).tolist() == ib.tolist()
+        weights = np.concatenate([weight for _, _, weight in tiles])
+        assert weights.tolist() == np.where(ia == ib, 1.0, 2.0).tolist()
 
 
 class TestTentEval:

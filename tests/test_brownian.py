@@ -9,11 +9,10 @@ import pytest
 from scipy import integrate
 
 import unicube.brownian
-from unicube import (AsymptoticNormTable, KLConfig, RandomStream, asymptotic_cdf,
-                     asymptotic_norm_draws, default_nu_max, simulate_sheet,
-                     simulate_tent, truncated_sheet_covariance,
-                     truncation_tail_mean)
-from unicube.brownian import _BLOCK_ELEMENTS, truncated_tent_kernel, weight_classes
+from unicube import (AsymptoticNormTable, KLConfig, RandomStream, asymptotic_norm_draws,
+                     simulate_sheet, truncated_sheet_covariance)
+from unicube.brownian import (_BLOCK_ELEMENTS, asymptotic_cdf, default_nu_max, simulate_tent,
+                              truncated_tent_kernel, truncation_tail_mean, weight_classes)
 
 
 class TestSimulateTent:

@@ -5,9 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from unicube import (MAX_DIMENSION, RandomStream, Sample, enumerate_subsets,
-                     mask_cardinality, mask_label, mask_members, subset_count,
-                     uniform_sample)
+from unicube import RandomStream, Sample, enumerate_subsets, mask_members, uniform_sample
+from unicube.core import MAX_DIMENSION, mask_cardinality, mask_label, subset_count
 
 
 class TestEnumerateSubsets:

@@ -4,10 +4,10 @@ face-vanishing, linearity, and the sup bound."""
 import numpy as np
 import pytest
 
-from unicube import (GridFunction, RandomStream,
-                     decompose, enumerate_subsets, grid_coords, mask_members,
-                     ramp_values, reconstruct, tent_bound_constant, tent_eval,
-                     uniform_sample)
+from unicube import (GridFunction, RandomStream, decompose, enumerate_subsets, mask_members,
+                     ramp_values, reconstruct, tent_bound_constant, uniform_sample)
+from unicube.decompose import grid_coords
+from unicube.tents import tent_eval
 
 
 def random_grid_function(rng, p, m):

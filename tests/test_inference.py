@@ -8,14 +8,14 @@ import pytest
 from scipy import stats
 
 import unicube.inference
-from unicube import (NullReference, RandomStream, Sample, all_tent_norms,
-                     asymptotic_norm_draws, asymptotic_test, build_asymptotic_tables,
-                     build_null_reference, chisq_quantile, enumerate_subsets,
-                     load_reference, load_table, m_test, phat, render_report,
-                     report_json, run_tests, s_test, save_reference, save_table,
-                     uniform_sample)
+from unicube import (NullReference, RandomStream, Sample, asymptotic_norm_draws,
+                     asymptotic_test, build_asymptotic_tables, build_null_reference,
+                     enumerate_subsets, load_reference, m_test, render_report, report_json,
+                     run_tests, s_test, save_reference, uniform_sample)
 from unicube.brownian import TABLE_SCHEME
-from unicube.inference import _decide, table_filename
+from unicube.inference import _decide, load_table, phat, save_table, table_filename
+from unicube.special import chisq_quantile
+from unicube.tents import all_tent_norms
 
 
 @pytest.fixture(scope="module")

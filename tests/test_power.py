@@ -12,10 +12,10 @@ import pytest
 import unicube.inference
 import unicube.power
 import unicube.special
-from unicube import (AlternativeSpec, PowerExperiment, RandomStream,
-                     build_null_reference, estimate_power, rows_to_csv, run_single,
-                     run_table, run_tests, sample_alternative)
-from unicube.power import CSV_HEADER
+from unicube import (AlternativeSpec, PowerExperiment, RandomStream, build_null_reference,
+                     estimate_power, run_tests)
+from unicube.alternatives import sample_alternative
+from unicube.power import CSV_HEADER, rows_to_csv, run_single, run_table
 
 
 def experiment(spec, n=25, trials=300, h=None, R=199, seed=5, alpha=0.05):

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unicube import (NullReference, enumerate_subsets, load_reference, load_table, phat,
-                     save_reference, save_table)
+from unicube import NullReference, enumerate_subsets, load_reference, save_reference
 from unicube.brownian import AsymptoticNormTable
-from unicube.inference import _decide
+from unicube.inference import _decide, load_table, phat, save_table
 from unicube.tents import _norms_for_masks
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from unicube import (RandomStream, Sample, all_tent_norms, enumerate_subsets,
-                     null_norm_mean, pair_factor, tent_eval, tent_norm,
-                     uniform_sample)
+from unicube import RandomStream, Sample, enumerate_subsets, tent_norm, uniform_sample
 from unicube import tents
-from unicube.tents import _norms_for_masks
+from unicube.tents import _norms_for_masks, all_tent_norms, null_norm_mean, pair_factor, tent_eval
 
 
 def bridge_cross_integral(u, v):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, enumerate_subsets, mask_cardinality, mask_members
+from .core import RandomStream, _frozen, enumerate_subsets, mask_cardinality, mask_members
 from .decompose import ramp_values
 
 #: Variates (one per weight class and draw) per derived sub-stream when
@@ -88,10 +88,7 @@ class AsymptoticNormTable:
     seed: int
 
     def __post_init__(self):
-        arr = np.asarray(self.draws, dtype=np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "draws", arr)
+        object.__setattr__(self, "draws", _frozen(self.draws))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AsymptoticNormTable):

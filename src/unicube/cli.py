@@ -86,15 +86,15 @@ def _cached(cache, name, load, build, save, config, request):
 
 
 def _warn_m_rule(modes, R, alpha, shapes) -> None:
-    """Say on stderr when the m rule cannot reject: its smallest p-value,
-    1/(R+1), is not below the per-subset cutoff of the largest family among
-    the (p, h) ``shapes`` run."""
+    """Say on stderr when the m (or m-as, with R = M) rule cannot reject: 1/(R+1)
+    is not below the per-subset cutoff of the largest (p, h) family in ``shapes``."""
     subsets = max(subset_count(p, h) for p, h in shapes)
     cutoff = _minp_threshold(alpha, subsets)
-    if "m" in modes and 1.0 / (R + 1) >= cutoff:
-        print(f"warning: the m rule cannot reject: 1/(R+1)={1.0 / (R + 1):.3g} is not below "
-              f"its per-subset cutoff {cutoff:.3g} for {subsets} subsets; "
-              f"use --R >= {math.floor(1.0 / cutoff)}", file=sys.stderr)
+    mode, count, flag = ("m-as", "M", "--asym-draws") if "m-as" in modes else ("m", "R", "--R")
+    if mode in modes and 1.0 / (R + 1) >= cutoff:
+        print(f"warning: the {mode} rule cannot reject: 1/({count}+1)={1.0 / (R + 1):.3g} is "
+              f"not below its per-subset cutoff {cutoff:.3g} for {subsets} subsets; "
+              f"use {flag} >= {math.floor(1.0 / cutoff)}", file=sys.stderr)
 
 
 def _refuse_unused(target: str, options) -> None:
@@ -147,7 +147,7 @@ def cmd_test(args) -> int:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             for report in reports:
                 fh.write(report_json(report) + "\n")
-    _warn_m_rule(modes, R, args.alpha, [(sample.p, h)])
+    _warn_m_rule(modes, draws if asymptotic else R, args.alpha, [(sample.p, h)])
     return 1 if any(r.reject for r in reports) else 0
 
 

@@ -54,6 +54,13 @@ class RandomStream:
         return RandomStream(self.seed, mixed)
 
 
+def _frozen(values) -> np.ndarray:
+    """A C-contiguous, read-only float64 copy of ``values``."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 class Sample:
     """An n x p matrix of observations, every entry inside [0, 1].
 
@@ -77,9 +84,7 @@ class Sample:
             raise ValueError("sample contains NaN or infinite entries")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("sample entries must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(arr))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sample is immutable")

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .core import enumerate_subsets, mask_members
+from .core import _frozen, enumerate_subsets, mask_members
 
 _BOUNDARY_TOL = 1e-12
 
@@ -48,9 +48,7 @@ class GridFunction:
                 raise ValueError(
                     f"function does not vanish on the lower boundary (axis {axis})"
                 )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(arr))
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .brownian import (TABLE_SCHEME, AsymptoticNormTable, asymptotic_cdf,
                        asymptotic_norm_draws)
-from .core import RandomStream, Sample, enumerate_subsets, mask_label, subset_count
+from .core import RandomStream, Sample, _frozen, enumerate_subsets, mask_label, subset_count
 from .special import chisq_quantile
 from .tents import _norms_for_masks, all_tent_norms
 
@@ -54,7 +54,7 @@ _REFERENCE_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class NullReference:
-    """Sorted null statistics per subset for one (n, p, h, R, seed) setup."""
+    """Sorted null statistics per subset: the R-value rows of one read-only block."""
 
     n: int
     p: int
@@ -64,12 +64,10 @@ class NullReference:
     norms: dict[int, np.ndarray]
 
     def __post_init__(self):
-        frozen = {}
-        for mask, vec in self.norms.items():
-            arr = np.asarray(vec, dtype=np.float64).copy()
-            arr.flags.writeable = False
-            frozen[mask] = arr
-        object.__setattr__(self, "norms", frozen)
+        if any(np.shape(vec) != (self.R,) for vec in self.norms.values()):
+            raise ValueError(f"each null vector must hold R={self.R} values")
+        block = _frozen(list(self.norms.values()))
+        object.__setattr__(self, "norms", dict(zip(self.norms, block)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NullReference):
@@ -164,8 +162,8 @@ def null_statistic_matrix(
 def build_null_reference(
     stream: RandomStream, n: int, p: int, h: int, R: int, threads: int = 1
 ) -> NullReference:
-    """Simulate R independent uniform samples and collect their statistics,
-    sorted ascending per subset."""
+    """Simulate R uniform samples and sort their statistics per subset in place,
+    so that the build holds two copies of the R x #subsets values at its peak."""
     if R < 1:
         raise ValueError("R must be >= 1")
     if n < 1:
@@ -173,7 +171,8 @@ def build_null_reference(
     _check_budget(f"a null reference of R={R}", R, subset_count(p, h), "R or h")
     masks = enumerate_subsets(p, h)
     matrix = null_statistic_matrix(stream, n, p, masks, R, threads=threads)
-    norms = {mask: np.sort(matrix[:, i]) for i, mask in enumerate(masks)}
+    matrix.sort(axis=0)
+    norms = dict(zip(masks, matrix.T))
     return NullReference(n=n, p=p, h=h, R=R, seed=stream.seed, norms=norms)
 
 
@@ -304,9 +303,9 @@ def asymptotic_test(
 ) -> TestReport:
     """Large-sample rule using the simulated limiting-norm tables.
 
-    Always runs the full family of 2^p - 1 subsets; p-values are one minus
-    the empirical c.d.f. of the matching-cardinality table at the observed
-    statistic.
+    Always runs the full family of 2^p - 1 subsets. A p-value is one minus the
+    empirical c.d.f. of the cardinality's table of M draws at the statistic,
+    floored at 1/(M+1), as ``phat`` is at 1/(R+1), so the s-as sum is finite.
     """
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(f"unknown asymptotic mode {mode!r}; use 'm-as' or 's-as'")
@@ -316,7 +315,8 @@ def asymptotic_test(
     if missing:
         raise ValueError(f"missing limiting-norm tables for cardinalities {missing}")
     stats = all_tent_norms(sample, p)
-    pvals = {mask: 1.0 - asymptotic_cdf(tables[mask.bit_count()], stat)
+    pvals = {mask: max(1.0 - asymptotic_cdf(tables[mask.bit_count()], stat),
+                       1.0 / (tables[mask.bit_count()].draws.shape[0] + 1))
              for mask, stat in stats.items()}
     aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)
     return TestReport(mode=mode, statistics=stats, p_values=pvals, aggregate=aggregate,

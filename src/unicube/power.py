@@ -75,10 +75,10 @@ def estimate_power(
     The null reference is built once (from sub-stream 0 of the experiment
     seed) and shared by every trial; trial t draws its sample from
     sub-stream 1 + t. The trials are scored like null replicates, in work
-    units, into one (trials, #subsets) statistics matrix; then each mode
-    decides the whole cell in one ``_decide`` call on its p-values. A trial's
-    decision is that of ``run_tests`` on the same sample, so estimates are
-    deterministic for any thread count or unit size.
+    units, into one (trials, #subsets) matrix; each column's p-values overwrite
+    its statistics, and each mode decides the whole cell in one ``_decide``
+    call on them. A trial's decision is that of ``run_tests`` on the same
+    sample, so estimates are deterministic for any thread count or unit size.
     """
     root = RandomStream(experiment.seed)
     spec, n, p = experiment.alternative, experiment.n, experiment.alternative.p
@@ -91,14 +91,13 @@ def estimate_power(
 
     trials = experiment.trials
     masks = enumerate_subsets(p, experiment.h)
-    stats = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
-                              trials, masks, threads)
-    pvals = np.empty_like(stats)
+    cell = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
+                             trials, masks, threads)
     for i, mask in enumerate(masks):
-        pvals[:, i] = phat(reference, mask, stats[:, i])
+        cell[:, i] = phat(reference, mask, cell[:, i])
     out = {}
     for mode in experiment.modes:
-        k = int(_decide(mode, pvals, experiment.alpha)[2].sum())
+        k = int(_decide(mode, cell, experiment.alpha)[2].sum())
         pi = k / trials if trials else float("nan")
         se = float(np.sqrt(pi * (1.0 - pi) / trials)) if trials else float("nan")
         out[mode] = PowerEstimate(mode=mode, power=pi, se=se, rejections=k, trials=trials)

@@ -4,7 +4,10 @@ import collections
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import re
 import tempfile
 import time
 import tracemalloc
@@ -112,6 +115,25 @@ class TestCmdTest:
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert "mode=m-as" in out
+
+    def test_s_as_beyond_every_draw_is_finite_and_strict_json(self, tmp_path, capsys):
+        # Every statistic of an all-0.5 sample exceeds every table draw: each
+        # p-value is 1/(M+1), the sum is finite and the JSON has no Infinity.
+        path = tmp_path / "half.csv"
+        write_csv(path, np.full((50, 3), 0.5))
+        out = tmp_path / "reports.jsonl"
+        assert main(["test", str(path), "--mode", "s-as", "--asym-draws", "500",
+                     "--json", str(out)]) == 1
+        total = re.search(r"^sum=(\S+) ", capsys.readouterr().out, re.M).group(1)
+        assert math.isfinite(float(total))
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        [payload] = [json.loads(line, parse_constant=refuse)
+                     for line in out.read_text().splitlines()]
+        assert payload["decision"] == "reject"
+        assert {s["p_value"] for s in payload["subsets"]} == {1.0 / 501}
 
     def test_missing_file(self, capsys):
         assert main(["test", "no-such-file.csv"]) == 2
@@ -618,6 +640,23 @@ class TestMRuleWarning:
         captured = capsys.readouterr()
         assert "decision: not-reject" in captured.out
         assert captured.err == (self.WARNING if warned else "")
+
+    @pytest.mark.parametrize("argv,warned", [
+        (["--mode", "m-as", "--asym-draws", "500"], True),
+        (["--mode", "m-as", "--asym-draws", "1228"], False),
+        (["--mode", "s-as", "--asym-draws", "500"], False),
+    ])
+    def test_asymptotic(self, tmp_path, capsys, argv, warned):
+        # The m-as rule's smallest p-value is 1/(M+1), for M table draws.
+        path = tmp_path / "u.csv"
+        write_csv(path, uniform_sample(RandomStream(9), 50, 6).data)
+        assert main(["test", str(path), "--seed", "3"] + argv) == 0
+        captured = capsys.readouterr()
+        assert "decision: not-reject" in captured.out
+        assert captured.err == (
+            "warning: the m-as rule cannot reject: 1/(M+1)=0.002 is not below its "
+            "per-subset cutoff 0.000814 for 63 subsets; use --asym-draws >= 1228\n"
+            if warned else "")
 
     @pytest.mark.parametrize("argv,warned", [
         (["--alternative", "normal-copula:rho=0.3,p=6", "--n", "20", "--R", "999"], True),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,39 @@ class TestBuildNullReference:
         assert ref.norms[1].shape == (1,)
         sample = uniform_sample(RandomStream(2), 5, 1)
         assert m_test(sample, ref, 0.5).p_values[1] in (0.5, 1.0)
+
+    def test_peak_memory_two_copies(self):
+        # The statistics matrix (8,000 x 63, 3.8 MiB) is sorted in place and
+        # its columns are copied into the reference's block: two copies at the
+        # peak, where per-subset sorted copies would make a third.
+        R = 8000
+        tracemalloc.start()
+        try:
+            build_null_reference(RandomStream(3), 10, 6, 6, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * R * 63 * 8
+
+
+class TestNullReference:
+    @pytest.mark.parametrize("norms", [
+        {1: np.arange(4.0)},
+        {1: np.arange(6.0)},
+        {1: np.arange(5.0), 2: np.arange(4.0), 3: np.arange(5.0)},
+    ])
+    def test_vector_of_another_length_refused(self, norms):
+        with pytest.raises(ValueError, match="must hold R=5 values"):
+            NullReference(n=4, p=2, h=2, R=5, seed=0, norms=norms)
+
+    def test_vectors_are_rows_of_one_read_only_block(self, small_reference):
+        rows = list(small_reference.norms.values())
+        block = rows[0].base
+        assert block is not None and block.shape == (3, 499)
+        assert not block.flags.writeable and block.flags.c_contiguous
+        assert all(row.base is block and not row.flags.writeable for row in rows)
+        with pytest.raises(ValueError):
+            rows[1][0] = 0.0
 
 
 class TestGroupingInvariance:
@@ -286,10 +320,14 @@ class TestAsymptoticTest:
         with pytest.raises(ValueError):
             asymptotic_test(sample, {1: tables[1]}, 0.05)
 
-    def test_statistic_beyond_table_gives_zero_pvalue(self, tables):
+    def test_statistic_beyond_table_gets_floor_pvalue(self, tables):
+        # A statistic above every one of the M draws gets p = 1/(M+1), as a
+        # Monte Carlo p-value never falls below 1/(R+1), so the s-as sum stays
+        # finite and the sample is still rejected.
         sample = Sample(np.full((500, 2), 0.5))
         report = asymptotic_test(sample, tables, 0.05, mode="s-as")
-        assert math.isinf(report.aggregate)
+        assert list(report.p_values.values()) == [1.0 / (20_000 + 1)] * 3
+        assert math.isfinite(report.aggregate)
         assert report.reject
 
 

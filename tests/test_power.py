@@ -114,9 +114,10 @@ class TestEstimatePower:
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
 
     def test_cell_peak_memory_bounded(self):
-        # A cell holds its statistics matrix (8,000 trials x 63 subsets,
-        # 3.8 MiB) and its p-values; the s rule's work arrays are of one
-        # slice's size, so the peak stays within three such matrices.
+        # A cell holds one matrix (8,000 trials x 63 subsets, 3.8 MiB), whose
+        # p-values overwrite its statistics, and the kernel's work arrays at
+        # n=20; the s rule's work arrays are of one slice's size, so the peak
+        # stays within three such matrices.
         exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=20,
                               trials=8000, R=99, seed=3)
         tracemalloc.start()
@@ -127,6 +128,22 @@ class TestEstimatePower:
             tracemalloc.stop()
         assert peak <= 3 * exp.trials * 63 * 8
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 3935}
+
+    def test_cell_holds_one_matrix(self):
+        # At n=5 the kernel's work arrays are small, so the peak is the cell's
+        # one (8,000 x 63) matrix, which its p-values overwrite, plus the
+        # reference and the s rule's slice-sized work arrays; a second matrix
+        # of p-values would make it about 2.2 matrices.
+        exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=5,
+                              trials=8000, R=99, seed=3)
+        tracemalloc.start()
+        try:
+            out = estimate_power(exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * exp.trials * 63 * 8
+        assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 2200}
 
     def test_oversized_cell_refused_at_construction(self):
         # 200 trials x 2^20 - 1 subsets would need about 1.6 GB.

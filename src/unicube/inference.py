@@ -379,6 +379,8 @@ def _parse_cache(data: bytes, where: str) -> tuple[dict[str, int], dict[int, np.
     for key in ("n", "p", "h", "R", "seed"):
         if key not in config:
             raise ValueError(f"{where}: configuration line lacks {key}=")
+        if key in ("n", "R") and config[key] < 1:
+            raise ValueError(f"{where}: {key}={config[key]}; {key} must be >= 1")
     line, start = _header_line(data, start, where, "masks")
     key, _, body = line.partition("=")
     try:
@@ -429,7 +431,11 @@ def save_reference(reference: NullReference, path) -> None:
 
 def load_reference(path) -> NullReference:
     config, vectors = _parse_cache(Path(path).read_bytes(), str(path))
-    if list(vectors) != enumerate_subsets(config["p"], config["h"]):
+    try:
+        family = enumerate_subsets(config["p"], config["h"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if list(vectors) != family:
         raise ValueError(f"{path}: masks line does not match the (p, h) enumeration")
     return NullReference(n=config["n"], p=config["p"], h=config["h"],
                          R=config["R"], seed=config["seed"], norms=vectors)

@@ -9,17 +9,17 @@ with the pair factor f(u, v) = (u^2 + v^2)/2 - max(u, v) + 1/3, which is the
 integral over [0,1] of (1{u<=t} - t)(1{v<=t} - t). The double sum is computed
 over pairs a <= b only (off-diagonal terms doubled), in fixed tiles of pairs,
 and a batch of samples is scored in blocks of rows, so that one block's
-products over one tile stay cache-sized. Within a tile the per-subset
-products are built depth first from the product of the subset minus its
-lowest bit, so a whole family of subsets costs barely more than a single one
-and only one product per cardinality is held at a time. The work arrays
-(the block's pair factors, one product per depth, the block's sums) are
-allocated once per call and every step writes into them, and the pair
-indices are built a fixed number of pairs at a time from O(n) row ends. So
-the pairwise arrays are bounded by one row block times one tile and the
-indices by a constant, not by the batch, n^2 or the number of subsets. Only
-the (subsets, batch) result grows with the batch, and it and the block's
-sums with the number of subsets.
+products over one tile stay cache-sized. Within a tile one loop builds the
+products in ascending mask order, which is depth first, each from the
+product of the subset minus its lowest bit, so a whole family of subsets
+costs barely more than a single one and only one product per cardinality is
+held at a time. The work arrays (the block's pair factors, one product per
+depth, the block's sums) are allocated once per call and every step writes
+into them, and the pair indices are built a fixed number of pairs at a time
+from O(n) row ends. So the pairwise arrays are bounded by one row block
+times one tile and the indices by a constant, not by the batch, n^2 or the
+number of subsets. Only the (subsets, batch) result grows with the batch,
+and it and the block's sums with the number of subsets.
 """
 
 from __future__ import annotations
@@ -76,23 +76,16 @@ def _pair_factors(block: np.ndarray, ta: np.ndarray, tb: np.ndarray,
         u += 1.0 / 3.0
 
 
-def _subset_product(mask: int, prod: np.ndarray, factors: np.ndarray,
-                    children: dict[int, list[tuple[int, int]]], columns: dict[int, int],
-                    sums: np.ndarray, levels: list[np.ndarray]) -> None:
-    """Depth-first walk from ``mask``, whose product over the tile is ``prod``.
-
-    product(H | 1<<j) = product(H) * factor(j) for each child listed in
-    ``children`` (j below the lowest bit of H): the lowest-bit recurrence read
-    from the top, so each depth needs one product, written into its buffer,
-    the first of ``levels``. A requested mask writes the per-row sum of its
-    product into ``sums[column]``.
-    """
-    col = columns.get(mask)
-    if col is not None:
-        prod.sum(axis=-1, out=sums[col])
-    for j, child in children[mask]:
-        _subset_product(child, np.multiply(prod, factors[j], out=levels[0]), factors,
-                        children, columns, sums, levels[1:])
+def _subset_product(walk: list[tuple[int, int, int | None]], weight: np.ndarray,
+                    factors: np.ndarray, sums: np.ndarray, levels: list[np.ndarray]) -> None:
+    """One (row block, tile) step: for each ``(depth, j, column)`` of ``walk``,
+    product(H | 1<<j) = product(H) * factor(j) into ``levels[depth]``, with H
+    the last subset of ``depth`` elements (the pair weight at depth 0). A
+    requested mask writes the per-row sum of its product into ``sums[column]``."""
+    for depth, j, column in walk:
+        np.multiply(levels[depth - 1] if depth else weight, factors[j], out=levels[depth])
+        if column is not None:
+            levels[depth].sum(axis=-1, out=sums[column])
 
 
 def _canonical_rows(points: np.ndarray) -> np.ndarray:
@@ -137,9 +130,9 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     on the diagonal, 2 off it, so exact) is the product of the empty subset
     and every product is C-contiguous, so each row is reduced by the same
     per-row sums, added tile by tile in tile order, whatever the batch size.
-    The factors, the products and the sums of a (block, tile) step are
-    written into work arrays allocated once per call, sized for the largest
-    step and viewed C-contiguous at the shape of each.
+    Each (block, tile) step is one loop over the masks and their lowest-bit
+    ancestors in ascending order, into work arrays allocated once per call,
+    sized for the largest step and viewed C-contiguous at each step's shape.
     """
     b, n, p = batch.shape
     # Coordinate-major and C-contiguous, so that each gather reads along a
@@ -153,11 +146,10 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
         while mask not in need:
             need.add(mask)
             mask &= mask - 1
-    # The children of H are H | 1<<j for every j below its lowest bit (any
-    # j < p for the empty set, whose product is the pair weight).
-    children = {mask: [(j, mask | 1 << j)
-                       for j in range((mask & -mask).bit_length() - 1 if mask else p)
-                       if mask | 1 << j in need] for mask in need}
+    # Ascending order is depth first: a mask's parent (it without its lowest
+    # bit) is smaller, and every mask between the two has more bits.
+    walk = [(mask_cardinality(mask) - 1, (mask & -mask).bit_length() - 1, columns.get(mask))
+            for mask in sorted(need)[1:]]
     pairs = n * (n + 1) // 2
     tile = min(_PAIR_TILE, pairs)
     rows = min(b, _BLOCK_BYTES // (8 * tile))
@@ -179,18 +171,22 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
                                 sums[:, :shape[0]])
             block_factors, levels, block_sums = views[shape]
             _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, scratch)
-            _subset_product(0, weight, block_factors, children, columns, block_sums, levels)
+            _subset_product(walk, weight, block_factors, block_sums, levels)
             acc[:, start:start + shape[0]] += block_sums
     acc /= n
     return acc.T
 
 
-def tent_norm(sample: Sample, mask: int) -> float:
-    """Squared L2 norm of the tent statistic for one nonempty subset."""
+def _check_mask(sample: Sample, mask: int) -> None:
     if mask == 0:
         raise ValueError("subset must be nonempty")
     if mask >> sample.p:
         raise ValueError(f"mask {mask:#x} names coordinates beyond p={sample.p}")
+
+
+def tent_norm(sample: Sample, mask: int) -> float:
+    """Squared L2 norm of the tent statistic for one nonempty subset."""
+    _check_mask(sample, mask)
     return float(_norms_for_masks(sample.data[None, :, :], [mask])[0, 0])
 
 
@@ -210,10 +206,7 @@ def tent_eval(sample: Sample, mask: int, t) -> float:
 
         (1/sqrt(n)) * sum_i prod_{j in H} (1{U[i,j] <= t_j} - t_j)
     """
-    if mask == 0:
-        raise ValueError("subset must be nonempty")
-    if mask >> sample.p:
-        raise ValueError(f"mask {mask:#x} names coordinates beyond p={sample.p}")
+    _check_mask(sample, mask)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     if t.shape[0] != sample.p:
         raise ValueError(f"point has {t.shape[0]} coordinates, expected {sample.p}")

@@ -168,6 +168,17 @@ class TestCmdTest:
         assert code == 2
         assert "subset 0x1 is not sorted ascending" in err
 
+    def test_cached_reference_without_replicates_refused(self, pointmass_csv, tmp_path,
+                                                         capsys):
+        # A well-formed file of R=0 values would give every subset p-value 1.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "null_n50_p2_h2_R0_s1.v2.txt"
+        path.write_text("unicube-null v2\nn=50 p=2 h=2 R=0 seed=1\nmasks=1,2,3\n\n")
+        assert main(["test", str(pointmass_csv), "--R", "0", "--seed", "1",
+                     "--null-cache", str(cache)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: R=0; R must be >= 1\n")
+
     def test_table_config_mismatch(self, tmp_path, capsys):
         data = uniform_sample(RandomStream(21), 40, 1).data
         path = tmp_path / "u1.csv"

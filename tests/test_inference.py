@@ -480,6 +480,12 @@ LINE_EDITS = {
     "masks-malformed": (lambda lines: lines.__setitem__(2, "masks=1,z,3"),
                         "malformed masks line"),
     "masks-missing": (lambda lines: lines.__setitem__(2, "H=1,2,3"), "malformed masks line"),
+    "R-zero": (lambda lines: lines.__setitem__(1, lines[1].replace("R=499", "R=0")),
+               "R=0; R must be >= 1"),
+    "n-zero": (lambda lines: lines.__setitem__(1, lines[1].replace("n=25", "n=0")),
+               "n=0; n must be >= 1"),
+    "p-25": (lambda lines: lines.__setitem__(1, lines[1].replace("p=2", "p=25")),
+             "dimension must be in \\[1, 20\\], got 25"),
 }
 
 

@@ -5,6 +5,7 @@ midpoint Riemann sums over the evaluation formula), plus closed-form values
 worked out from the pair-factor definition.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,49 @@ class TestRowBlocks:
         whole = _norms_for_masks(batch, masks)
         singles = np.array([_norms_for_masks(item[None], masks)[0] for item in batch])
         assert singles.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
+
+
+def _walk_case(case):
+    """Batch and masks of a walk pin. A (B, n, p, h) case scores the full
+    family to h; "sparse" six p=9 masks in no order, not closed under taking
+    off the lowest bit; "shuffled" the full p=9 family in a shuffled order."""
+    if case == "sparse":
+        return np.random.default_rng(5).random((4, 25, 9)), [0x1FF, 0xA5, 0x100, 0x3, 0x150, 0xC0]
+    if case == "shuffled":
+        masks = enumerate_subsets(9, 9)
+        np.random.default_rng(9).shuffle(masks)
+        return np.random.default_rng(9).random((3, 30, 9)), masks
+    b, n, p, h = case
+    return np.random.default_rng(n * p + h).random((b, n, p)), enumerate_subsets(p, h)
+
+
+class TestSubsetWalk:
+    # sha256 of the kernel's output as little-endian float64, for walks 14,
+    # 10 and 2 deep, a sparse mask list and a shuffled family. Every digest
+    # was computed with the recursive walk (one call per subset) that the
+    # ascending loop replaced, so they pin that the loop moved no bit.
+    @pytest.mark.parametrize("case,digest", [
+        ((3, 20, 14, 14), "ed32c3f6c4b19ca295179622d241166d83d04ebbdda986d4d0e1e8d5828426e7"),
+        ((2, 40, 10, 10), "bca628b5ccdc3de867bb7a45daf667440f1e8062dfe0df68c7dbfd24b6f898dd"),
+        ((5, 30, 20, 2), "6c36b8e69476b4440b46ce0160d6a757f199034211b558d8c9b05ed31447e2a8"),
+        ("sparse", "f2732c83ba1cb339c6854d1932173805dea3cd3e6868f0c8f17732b1777f2f53"),
+        ("shuffled", "fa7bb96565774eadf06cdf2a632242d90fc8aaae41bb7ee855affbb60a30ec3d"),
+    ])
+    def test_deep_walks_pinned(self, case, digest):
+        out = _norms_for_masks(*_walk_case(case))
+        assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest
+
+    # n=50 has 1,275 pairs, three tiles; 300 rows are five row blocks. The
+    # walk makes one call per (block, tile) step, not one per subset (192
+    # and 960 calls for these 63 subsets).
+    @pytest.mark.parametrize("b,calls", [(1, 3), (300, 15)])
+    def test_one_call_per_step(self, monkeypatch, b, calls):
+        made = []
+        product = tents._subset_product
+        monkeypatch.setattr(tents, "_subset_product",
+                            lambda *args: made.append(args) or product(*args))
+        _norms_for_masks(np.random.default_rng(0).random((b, 50, 6)), enumerate_subsets(6, 6))
+        assert len(made) == calls
 
 
 def _kernel_peak(shape, h):

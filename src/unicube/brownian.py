@@ -21,8 +21,11 @@ degrees of freedom. One variate per class gives the same law with far fewer
 draws (2226 classes instead of 12^6 terms at k=6). Classes of multiplicity
 one come first and draw a squared standard normal, the others one
 chi-square(m) each; at k=1 every class is a single term, so those tables
-match the term-by-term series bit for bit. :data:`TABLE_SCHEME` names this
-stream layout in cache files.
+match the term-by-term series bit for bit. Each draw is one pairwise
+``np.add.reduce`` over its row of variates times weights, a few rows at a
+time, so no (draws, classes) array is built and no BLAS call is made: a
+draw's bits depend on its own variates only, not on the BLAS build or thread
+count. :data:`TABLE_SCHEME` names this layout in cache files.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ from .decompose import ramp_values
 #: configuration, so results are independent of execution order and thread
 #: count.
 _BLOCK_ELEMENTS = 1 << 23
-#: Size of the scratch (1 MB) through which each block's variates are drawn
-#: a few rows at a time into the one block array that every block reuses, so
-#: that no second block-sized array is made. The draw order, and so every
-#: value, is that of one call per block.
+#: Size of the scratch (1 MB) of C-contiguous rows, one per draw, that are
+#: combined with the weights and summed a few at a time; a second scratch
+#: of the same size takes their gamma variates. The draw order, and so every
+#: variate, is that of one normal call and then one gamma call per block.
 _SCRATCH_ELEMENTS = 1 << 17
 
-#: Version of the norm-table stream layout, recorded in table cache files so
-#: that tables drawn by an older layout are never mixed with new ones.
-TABLE_SCHEME = 2
+#: Version of the norm-table layout, recorded in table cache files so that
+#: tables drawn by an older layout are never mixed with new ones. Scheme 2
+#: summed the same variates by a BLAS product, whose bits moved with the
+#: BLAS thread count.
+TABLE_SCHEME = 3
 
 
 def default_nu_max(k: int) -> int:
@@ -203,30 +208,35 @@ def asymptotic_norm_draws(
     nu = KLConfig(nu_max=nu_max).resolve_nu_max(k)
     weights, counts = weight_classes(k, nu)
     singles = int(np.count_nonzero(counts == 1))
-    shared = counts[singles:]
-    shift = truncation_tail_mean(k, nu)
+    half = counts[singles:] / 2.0
     out = np.empty(draws)
     n_classes = weights.shape[0]
     block_draws = max(1, _BLOCK_ELEMENTS // n_classes)
-    terms = np.empty((min(block_draws, draws), n_classes))
+    chunk = max(1, _SCRATCH_ELEMENTS // n_classes)
+    terms = np.empty((min(chunk, draws), n_classes))
     # A chi-square(m) variate is twice a gamma(m/2) one. Each block draws all
-    # its normals, then all its gammas, a scratch of rows at a time.
-    width = max(singles, shared.shape[0], 1)
-    chunk = max(1, _SCRATCH_ELEMENTS // width)
-    scratch = np.empty(chunk * width)
-    half = shared / 2.0
+    # its normals, then all its gammas, so with shared classes its squared
+    # normals are held until its gammas come; at k=1 there are none.
+    if half.size:
+        gammas = np.empty((terms.shape[0], half.size))
+        squares = np.empty((min(block_draws, draws), singles))
     for block, start in enumerate(range(0, draws, block_draws)):
         rows = min(start + block_draws, draws) - start
         gen = stream.child(block).generator()
+        if half.size:
+            np.square(gen.standard_normal(out=squares[:rows]), out=squares[:rows])
         for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            normals = scratch[:(hi - lo) * singles].reshape(hi - lo, singles)
-            np.square(gen.standard_normal(out=normals), out=terms[lo:hi, :singles])
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            gammas = scratch[:(hi - lo) * half.size].reshape(hi - lo, half.size)
-            np.multiply(gen.standard_gamma(half, out=gammas), 2.0, out=terms[lo:hi, singles:])
-        out[start:start + rows] = terms[:rows] @ weights + shift
+            size = min(chunk, rows - lo)
+            part = terms[:size]
+            if half.size:
+                part[:, :singles] = squares[lo:lo + size]
+                np.multiply(gen.standard_gamma(half, out=gammas[:size]), 2.0,
+                            out=part[:, singles:])
+            else:
+                np.square(gen.standard_normal(out=part), out=part)
+            np.multiply(part, weights, out=part)
+            np.add.reduce(part, axis=1, out=out[start + lo:start + lo + size])
+    out += truncation_tail_mean(k, nu)
     out.sort()
     return AsymptoticNormTable(k=k, draws=out, nu_max=nu, seed=stream.seed)
 

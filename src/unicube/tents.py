@@ -134,13 +134,16 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     ancestors in ascending order, into work arrays allocated once per call,
     sized for the largest step and viewed C-contiguous at each step's shape.
     """
+    columns = {}
+    for col, mask in enumerate(masks):
+        if columns.setdefault(mask, col) != col:
+            raise ValueError(f"mask {mask:#x} is requested more than once")
     b, n, p = batch.shape
     # Coordinate-major and C-contiguous, so that each gather reads along a
     # contiguous row of n values.
     coords = np.empty((p, b, n))
     for i, item in enumerate(batch):
         coords[:, i] = _canonical_rows(item).T
-    columns = {mask: col for col, mask in enumerate(masks)}
     need = {0}
     for mask in masks:
         while mask not in need:

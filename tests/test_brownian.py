@@ -1,5 +1,8 @@
 """Gaussian tent simulation, sheet assembly, and limiting-norm tables."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -225,19 +228,22 @@ class TestWeightClasses:
 
     def test_k1_table_is_the_plain_normal_series(self):
         # Every k=1 class is a single term: the table must be bit-equal to
-        # squared normals dotted with the term weights, on the same stream.
+        # the pairwise row sums of squared normals times the term weights, on
+        # the same stream.
         nu, draws = 200, 3000
         stream = RandomStream(71)
         assert draws <= _BLOCK_ELEMENTS // nu  # one block, child stream 0
         z = stream.child(0).generator().standard_normal((draws, nu))
         weights = 1.0 / np.arange(1, nu + 1, dtype=np.float64) ** 2 / np.pi ** 2
-        expected = np.sort((z * z) @ weights + truncation_tail_mean(1, nu))
+        expected = np.sort(np.add.reduce((z * z) * weights, axis=1)
+                           + truncation_tail_mean(1, nu))
         table = asymptotic_norm_draws(stream, 1, draws=draws)
         assert table.draws.tobytes() == expected.tobytes()
 
     def test_blocks_drawn_through_the_scratch_keep_their_bits(self, monkeypatch):
-        # Three blocks of at most 700 draws, each filled a few rows at a time:
-        # bit-equal to one normal call and then one chi-square call per block.
+        # Three blocks of at most 700 draws, each combined a few rows at a
+        # time: bit-equal to one normal call and then one chi-square call per
+        # block, and one pairwise sum per row.
         k, draws, stream = 2, 2000, RandomStream(72)
         weights, counts = weight_classes(k, default_nu_max(k))
         singles = int(np.count_nonzero(counts == 1))
@@ -251,20 +257,45 @@ class TestWeightClasses:
             terms[:, :singles] = gen.standard_normal((rows, singles)) ** 2
             terms[:, singles:] = gen.chisquare(counts[singles:],
                                                size=(rows, weights.size - singles))
-            parts.append(terms @ weights + truncation_tail_mean(k, default_nu_max(k)))
+            parts.append(np.add.reduce(terms * weights, axis=1)
+                         + truncation_tail_mean(k, default_nu_max(k)))
         expected = np.sort(np.concatenate(parts))
         table = asymptotic_norm_draws(stream, k, draws=draws)
         assert table.draws.tobytes() == expected.tobytes()
 
-    def test_peak_one_block_array(self):
-        # 2,000 draws over 1,263 weight classes fill one 19.3 MiB block; a
-        # second array of the chi-square variates took the peak to 38.0 MiB.
+    # Rows are combined through two 1 MB scratches, and a block's squared
+    # normals (6,641 x 36 at k=2) are its only block-sized array. Holding a
+    # whole (draws, classes) block peaked at 20.4 MiB for 2,000 draws and
+    # 66.6 MiB for 100,000.
+    @pytest.mark.parametrize("draws,mib", [(2000, 4), (100_000, 8)])
+    def test_peak_within_the_scratch_bound(self, draws, mib):
         tracemalloc.start()
         try:
-            asymptotic_norm_draws(RandomStream(5), 2, draws=2000)
-            assert tracemalloc.get_traced_memory()[1] < 24 * 2**20
+            asymptotic_norm_draws(RandomStream(5), 2, draws=draws)
+            assert tracemalloc.get_traced_memory()[1] < mib * 2**20
         finally:
             tracemalloc.stop()
+
+    def test_table_bits_do_not_depend_on_blas_threads(self):
+        """The same table under one and two BLAS threads, in fresh processes.
+
+        A BLAS product splits its sums by thread, which moved k=2 bits at
+        this seed. On a one-CPU machine both runs take one thread, so the
+        test passes without exercising the split.
+        """
+        code = ("import hashlib; from unicube import RandomStream, asymptotic_norm_draws; "
+                "t = asymptotic_norm_draws(RandomStream(2).child(2), 2, draws=20_000); "
+                "print(hashlib.sha256(t.draws.tobytes()).hexdigest())")
+        src = os.path.dirname(os.path.dirname(unicube.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 def _imhof_cdf(x: float, weights: np.ndarray, counts: np.ndarray) -> float:

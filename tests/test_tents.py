@@ -232,6 +232,12 @@ class TestSubsetWalk:
         _norms_for_masks(np.random.default_rng(0).random((b, 50, 6)), enumerate_subsets(6, 6))
         assert len(made) == calls
 
+    def test_repeated_mask_refused(self):
+        # One column per mask: a repeated mask left its earlier columns as
+        # np.empty had them (about +-6e306 at this input).
+        with pytest.raises(ValueError, match="mask 0x3 is requested more than once"):
+            _norms_for_masks(np.random.default_rng(0).random((2, 30, 3)), [3, 1, 3])
+
 
 def _kernel_peak(shape, h):
     batch = np.random.default_rng(0).random(shape)

@@ -407,7 +407,7 @@ class TestCacheRoundTrip:
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[1:3] == [f"n=8 p=2 h=2 R=50 seed=55 scheme={TABLE_SCHEME}", "masks=3"]
 
-    @pytest.mark.parametrize("token", ["", f" scheme={TABLE_SCHEME - 1}"])
+    @pytest.mark.parametrize("token", ["", " scheme=1", f" scheme={TABLE_SCHEME - 1}"])
     def test_table_of_other_scheme_refused(self, tmp_path, token):
         table = asymptotic_norm_draws(RandomStream(55), 2, nu_max=8, draws=50)
         path = tmp_path / "table.txt"

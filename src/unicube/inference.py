@@ -25,6 +25,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,30 +116,50 @@ def _check_budget(what: str, rows: int, count: int, lower: str) -> None:
                          f"{_REFERENCE_BUDGET / 2**20:,.0f} MiB budget; lower {lower}")
 
 
-def _statistic_matrix(draw, count: int, masks: list[int], threads: int) -> np.ndarray:
-    """Statistics of the samples ``draw(i)`` for i in ``range(count)``, one
-    row each, one column per mask: (count, len(masks)).
+def _statistic_matrix(draw, count: int, shape: tuple[int, int], masks: list[int],
+                      threads: int) -> np.ndarray:
+    """Statistics of the (n, p) = ``shape`` samples ``draw(i)`` for i in
+    ``range(count)``, one row each, one column per mask: (count, len(masks)).
 
-    Samples are scored in work units of ``_REPLICATE_BATCH``, on a thread
-    pool when there are several; the pool has at most one worker per unit and
-    per CPU. Each row depends on its sample alone, so neither the units nor
+    Samples are scored in work units of ``_REPLICATE_BATCH`` by ``threads``
+    workers, at most one per unit and per CPU: the calling thread and a pool
+    of the others, so that one worker starts no thread. Each worker takes
+    unit starts from one shared iterator until it runs out. A unit draws its
+    samples into one batch array, and the kernel writes their statistics
+    straight into the unit's rows of the result. After a unit fails no
+    worker takes another, and the first error is raised once all have
+    stopped. Each row depends on its sample alone, so neither the units nor
     the thread count change a bit of the result.
     """
     out = np.empty((count, len(masks)))
-
-    def fill(start: int) -> None:
-        stop = min(start + _REPLICATE_BATCH, count)
-        out[start:stop] = _norms_for_masks(np.stack([draw(i) for i in range(start, stop)]),
-                                           masks)
-
     starts = range(0, count, _REPLICATE_BATCH)
+    units = iter(starts)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def score() -> None:
+        while True:
+            with lock:
+                start = None if errors else next(units, None)
+            if start is None:
+                return
+            stop = min(start + _REPLICATE_BATCH, count)
+            try:
+                batch = np.empty((stop - start, *shape))
+                for i in range(start, stop):
+                    batch[i - start] = draw(i)
+                _norms_for_masks(batch, masks, out=out[start:stop])
+            except BaseException as err:
+                with lock:
+                    errors.append(err)
+
     workers = min(threads, len(starts), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for _ in range(workers - 1):
+            pool.submit(score)
+        score()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -156,7 +177,7 @@ def null_statistic_matrix(
     deterministic for any thread count or execution order.
     """
     return _statistic_matrix(lambda r: stream.child(r).generator().random((n, p)),
-                             replicates, masks, threads)
+                             replicates, (n, p), masks, threads)
 
 
 def build_null_reference(

@@ -92,7 +92,7 @@ def estimate_power(
     trials = experiment.trials
     masks = enumerate_subsets(p, experiment.h)
     cell = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
-                             trials, masks, threads)
+                             trials, (n, p), masks, threads)
     for i, mask in enumerate(masks):
         cell[:, i] = phat(reference, mask, cell[:, i])
     out = {}

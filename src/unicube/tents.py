@@ -18,8 +18,9 @@ depth, the block's sums) are allocated once per call and every step writes
 into them, and the pair indices are built a fixed number of pairs at a time
 from O(n) row ends. So the pairwise arrays are bounded by one row block
 times one tile and the indices by a constant, not by the batch, n^2 or the
-number of subsets. Only the (subsets, batch) result grows with the batch,
-and it and the block's sums with the number of subsets.
+number of subsets. Only the (batch, subsets) result, which the caller may
+supply, grows with the batch, and it and the block's sums with the number of
+subsets.
 """
 
 from __future__ import annotations
@@ -122,8 +123,13 @@ def _pair_tiles(n: int):
                    weight[start:start + _PAIR_TILE])
 
 
-def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
+def _norms_for_masks(batch: np.ndarray, masks: list[int],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks)).
+
+    The norms are accumulated in ``out``, a float64 (B, len(masks)) array
+    such as a row slice of the caller's statistics matrix, through its
+    transposed view, and ``out`` is returned; by default it is allocated.
 
     Pairs a <= b are taken in tiles of ``_PAIR_TILE``, and the batch in
     blocks of rows whose products fit in ``_BLOCK_BYTES``. The pair weight (1
@@ -139,6 +145,11 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
         if columns.setdefault(mask, col) != col:
             raise ValueError(f"mask {mask:#x} is requested more than once")
     b, n, p = batch.shape
+    if out is None:
+        out = np.empty((b, len(masks)))
+    elif out.shape != (b, len(masks)) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {(b, len(masks))}, "
+                         f"not {out.dtype} {out.shape}")
     # Coordinate-major and C-contiguous, so that each gather reads along a
     # contiguous row of n values.
     coords = np.empty((p, b, n))
@@ -160,7 +171,8 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
     scratch = np.empty((2, min(factors.size, _BLOCK_BYTES // 8)))
     products = np.empty((max(map(mask_cardinality, masks)), rows * tile))
     sums = np.empty((len(masks), rows))
-    acc = np.zeros((len(masks), b))
+    acc = out.T
+    acc.fill(0.0)
     # Views of the work arrays, made once per step shape: only the last block
     # and the last tile differ from the first.
     views = {}
@@ -177,7 +189,7 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int]) -> np.ndarray:
             _subset_product(walk, weight, block_factors, block_sums, levels)
             acc[:, start:start + shape[0]] += block_sums
     acc /= n
-    return acc.T
+    return out
 
 
 def _check_mask(sample: Sample, mask: int) -> None:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,9 +134,9 @@ class TestGroupingInvariance:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replace the work-unit thread pool by one that records its size and runs
-    the units serially, so that no thread is started whatever the thread
-    count asked for. Returns the list of recorded sizes."""
+    """Replace the helper thread pool by one that records its size and runs
+    each submitted call at once, so that no thread is started whatever the
+    thread count asked for. Returns the list of recorded sizes."""
     sizes = []
 
     class RecordingPool:
@@ -147,16 +149,41 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            fn(*args)
 
     monkeypatch.setattr(unicube.inference, "ThreadPoolExecutor", RecordingPool)
     return sizes
 
 
-class TestWorkerCap:
-    """``_statistic_matrix`` starts at most one worker per unit and per CPU."""
+def _recording_kernel(monkeypatch, fail_first=False, pause=0.0):
+    """Replace the kernel seen by ``_statistic_matrix`` by one that records
+    the thread of each call, sleeps ``pause`` seconds (the interpreter lock
+    is free meanwhile) and then scores, or raises on the first call if
+    ``fail_first``. Returns the list of calling threads."""
+    kernel = unicube.inference._norms_for_masks
+    calls = []
+    lock = threading.Lock()
 
+    def recording(*args, **kwargs):
+        with lock:
+            calls.append(threading.current_thread())
+            first = len(calls) == 1
+        if fail_first and first:
+            raise RuntimeError("unit failed")
+        time.sleep(pause)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(unicube.inference, "_norms_for_masks", recording)
+    return calls
+
+
+class TestWorkerCap:
+    """``_statistic_matrix`` runs at most one worker per unit and per CPU:
+    the calling thread and a pool of the others."""
+
+    # ``workers`` counts the calling thread: the pool holds the others, and
+    # one worker (None) makes no pool.
     @pytest.mark.parametrize("threads,replicates,workers", [
         (10**9, 9, 4), (3, 9, 3), (10**9, 2, 2), (2, 1, None), (1, 9, None)])
     def test_pool_size(self, monkeypatch, recording_pool, threads, replicates, workers):
@@ -166,9 +193,56 @@ class TestWorkerCap:
         masks = enumerate_subsets(2, 2)
         out = unicube.inference.null_statistic_matrix(stream, 10, 2, masks, replicates,
                                                       threads=threads)
-        assert recording_pool == ([] if workers is None else [workers])
+        assert recording_pool == ([] if workers is None else [workers - 1])
         serial = unicube.inference.null_statistic_matrix(stream, 10, 2, masks, replicates)
         assert np.array_equal(out.view(np.int64), serial.view(np.int64))
+
+    def test_calling_thread_scores(self, monkeypatch):
+        # Two units, two workers: each kernel call sleeps, so the calling
+        # thread is free to take the unit the helper has not taken.
+        monkeypatch.setattr(unicube.inference.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", 2)
+        calls = _recording_kernel(monkeypatch, pause=0.05)
+        unicube.inference.null_statistic_matrix(RandomStream(24), 10, 2,
+                                                enumerate_subsets(2, 2), 4, threads=2)
+        assert len(calls) == 2
+        assert threading.current_thread() in calls
+
+    def test_failed_unit_stops_every_thread(self, monkeypatch):
+        # Twelve one-sample units on two workers: the failing unit and the
+        # one the other worker is scoring meanwhile are the only kernel calls.
+        monkeypatch.setattr(unicube.inference.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", 1)
+        calls = _recording_kernel(monkeypatch, fail_first=True, pause=0.02)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            unicube.inference.null_statistic_matrix(RandomStream(25), 10, 2,
+                                                    enumerate_subsets(2, 2), 12, threads=2)
+        assert 1 <= len(calls) <= 2
+
+    def test_helper_error_reraised(self, monkeypatch, recording_pool):
+        # The recording pool runs the helper's loop first, so the helper
+        # makes the failing call and the calling thread takes no unit.
+        monkeypatch.setattr(unicube.inference.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(unicube.inference, "_REPLICATE_BATCH", 1)
+        calls = _recording_kernel(monkeypatch, fail_first=True)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            unicube.inference.null_statistic_matrix(RandomStream(25), 10, 2,
+                                                    enumerate_subsets(2, 2), 12, threads=2)
+        assert recording_pool == [1] and len(calls) == 1
+
+    def test_wide_family_peak(self):
+        # The statistics matrix (256 x 4,095, 8 MiB) is the kernel's result:
+        # each unit's norms are summed straight into its rows, so the peak is
+        # the matrix plus one unit's work arrays (3.65x when each unit's
+        # result was a separate array copied in).
+        masks = enumerate_subsets(12, 12)
+        tracemalloc.start()
+        try:
+            unicube.inference.null_statistic_matrix(RandomStream(1), 20, 12, masks, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 256 * len(masks) * 8
 
 
 class TestPhat:

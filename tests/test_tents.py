@@ -239,6 +239,26 @@ class TestSubsetWalk:
             _norms_for_masks(np.random.default_rng(0).random((2, 30, 3)), [3, 1, 3])
 
 
+class TestOutArgument:
+    def test_out_equals_default(self):
+        batch, masks = _walk_case((5, 30, 6, 6))
+        matrix = np.full((7, len(masks)), np.nan)
+        returned = _norms_for_masks(batch, masks, out=matrix[1:6])
+        assert returned.base is matrix
+        assert np.isnan(matrix[[0, 6]]).all()
+        default = _norms_for_masks(batch, masks)
+        assert returned.view(np.uint64).tolist() == default.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("out", [np.empty((4, 63)), np.empty((5, 62)), np.empty((63, 5)),
+                                     np.empty((5, 63), dtype=np.float32)])
+    def test_wrong_out_refused_before_work(self, monkeypatch, out):
+        made = []
+        monkeypatch.setattr(tents, "_pair_factors", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(5, 63\)"):
+            _norms_for_masks(*_walk_case((5, 30, 6, 6)), out=out)
+        assert made == []
+
+
 def _kernel_peak(shape, h):
     batch = np.random.default_rng(0).random(shape)
     masks = enumerate_subsets(shape[2], h)

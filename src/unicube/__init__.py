@@ -17,8 +17,8 @@ from .core import RandomStream, Sample, enumerate_subsets, mask_members, uniform
 from .decompose import (GridFunction, RampComponent, decompose, ramp_values, reconstruct,
                         tent_bound_constant)
 from .inference import (NullReference, TestReport, asymptotic_test, build_asymptotic_tables,
-                        build_null_reference, load_reference, m_test, render_report,
-                        report_json, run_tests, s_test, save_reference)
+                        build_null_reference, load_reference, render_report, report_json,
+                        run_tests, save_reference)
 from .power import PowerEstimate, PowerExperiment, estimate_power
 from .tents import tent_norm
 
@@ -30,8 +30,8 @@ __all__ = [
     "RandomStream", "Sample", "TestReport", "asymptotic_norm_draws",
     "asymptotic_test", "build_asymptotic_tables", "build_null_reference",
     "decompose", "enumerate_subsets", "estimate_power", "load_reference",
-    "m_test", "mask_members", "ramp_values", "reconstruct", "render_report",
-    "report_json", "run_tests", "s_test", "save_reference", "simulate_sheet",
+    "mask_members", "ramp_values", "reconstruct", "render_report", "report_json",
+    "run_tests", "save_reference", "simulate_sheet",
     "tent_bound_constant", "tent_norm", "truncated_sheet_covariance",
     "uniform_sample",
 ]

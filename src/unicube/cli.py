@@ -138,8 +138,7 @@ def cmd_test(args) -> int:
                                          threads=args.threads or 1), save_reference,
             lambda r: dict(n=r.n, p=r.p, h=r.h, R=r.R, seed=r.seed),
             dict(n=sample.n, p=sample.p, h=h, R=R, seed=seed))
-        by_mode = run_tests(sample, reference, args.alpha, modes=modes)
-        reports = [by_mode[m] for m in modes]
+        reports = list(run_tests(sample, reference, args.alpha, modes=modes).values())
 
     for report in reports:
         sys.stdout.write(render_report(report))
@@ -205,6 +204,10 @@ def cmd_diagnose(args) -> int:
         raise ValueError(f"p must be in [1, 4] for grid diagnostics, got {args.p}")
     if not 3 <= args.grid_m <= 33:
         raise ValueError(f"grid-m must be in [3, 33], got {args.grid_m}")
+    for flag, value, least in (("--functions", args.functions, 1), ("--pairs", args.pairs, 1),
+                               ("--sheets", args.sheets, 2), ("--draws", args.draws, 2)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     root = RandomStream(args.seed)
     failures: list[str] = []
 

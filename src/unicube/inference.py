@@ -218,24 +218,21 @@ def _minp_threshold(alpha: float, family_size: int) -> float:
     return 1.0 - (1.0 - alpha) ** (1.0 / family_size)
 
 
-def _decide(mode: str, pvals: np.ndarray, alpha: float):
-    """Aggregate, threshold and decision of the m or s rule (finite or
-    asymptotic) on per-subset p-values.
+def _decide(mode: str, block: np.ndarray, alpha: float):
+    """Aggregates, threshold and decisions of the m or s rule (finite or
+    asymptotic) on a block of per-subset p-value families, one per row.
 
-    ``pvals`` is one family, a 1-D array, which gives a float aggregate, a
-    float threshold and a bool; or a block of families, one per row, which
-    gives an array of aggregates, the threshold shared by every row and an
-    array of decisions. The s rule maps every 1 - p through the one-degree
-    chi-square quantile (1 - p = 0 maps to 0, and 1 - p = 1 to inf), once per
-    distinct value of the block (a Monte Carlo p-value takes at most R + 1
-    values), sums each row with ``math.fsum`` and compares the sums with the
-    quantile of 1 - alpha, taken by the same function so that a single-subset
-    family ties with the m rule at p == alpha. The quantile is elementwise,
-    so a row decides the same bits in any block. The s rule reads the block
-    in slices of ``_REPLICATE_BATCH`` rows, so its work arrays are of one
-    slice's size, whatever the block's.
+    Returns an array of aggregates, the threshold shared by every row and an
+    array of decisions; a single sample is a one-row block. The s rule maps
+    every 1 - p through the one-degree chi-square quantile (1 - p = 0 maps to
+    0, and 1 - p = 1 to inf), once per distinct value of the block (a Monte
+    Carlo p-value takes at most R + 1 values), sums each row with
+    ``math.fsum`` and compares the sums with the quantile of 1 - alpha, taken
+    by the same function so that a single-subset family ties with the m rule
+    at p == alpha. The quantile is elementwise, so a row decides the same bits
+    in any block. The s rule reads the block in slices of ``_REPLICATE_BATCH``
+    rows, so its work arrays are of one slice's size, whatever the block's.
     """
-    block = np.atleast_2d(pvals)
     family_size = block.shape[1]
     if mode.startswith("m"):
         aggregate = block.min(axis=1)
@@ -254,9 +251,25 @@ def _decide(mode: str, pvals: np.ndarray, alpha: float):
                               for row in q[np.searchsorted(distinct, 1.0 - block[rows])]])
         threshold = chisq_quantile(1.0 - alpha, family_size)
         reject = aggregate > threshold
-    if np.ndim(pvals) == 1:
-        return float(aggregate[0]), threshold, bool(reject[0])
     return aggregate, threshold, reject
+
+
+def _reports(sample: Sample, h: int, pvalue, modes, alpha: float, R: int,
+             seed: int) -> dict[str, TestReport]:
+    """One report per mode of ``modes``: the statistics of ``sample`` up to
+    cardinality h, scored once, their p-values ``pvalue(mask, statistic)`` and
+    each mode's decision on those as a one-row block, as a power cell decides."""
+    stats = all_tent_norms(sample, h)
+    pvals = {mask: pvalue(mask, stat) for mask, stat in stats.items()}
+    block = np.array([list(pvals.values())])
+    reports: dict[str, TestReport] = {}
+    for mode in modes:
+        aggregate, threshold, reject = _decide(mode, block, alpha)
+        reports[mode] = TestReport(mode=mode, statistics=stats, p_values=pvals,
+                                   aggregate=float(aggregate[0]), threshold=threshold,
+                                   alpha=alpha, reject=bool(reject[0]), n=sample.n,
+                                   p=sample.p, h=h, R=R, seed=seed)
+    return reports
 
 
 def run_tests(
@@ -265,10 +278,10 @@ def run_tests(
     alpha: float,
     modes: tuple[str, ...] = ("m", "s"),
 ) -> dict[str, TestReport]:
-    """Run the requested finite-sample rules on one sample.
+    """Run the requested finite-sample rules on one sample, p-values by ``phat``.
 
     The per-subset statistics and p-values are computed once and shared by
-    all requested modes.
+    all requested modes, whose reports come in the order m, s.
     """
     _check_alpha(alpha)
     unknown = [m for m in modes if m not in FINITE_MODES]
@@ -278,27 +291,9 @@ def run_tests(
         raise ValueError(
             f"reference built for (n={reference.n}, p={reference.p}) cannot score "
             f"a sample with (n={sample.n}, p={sample.p})")
-    stats = all_tent_norms(sample, reference.h)
-    pvals = {mask: phat(reference, mask, stat) for mask, stat in stats.items()}
-    common = dict(statistics=stats, p_values=pvals, alpha=alpha, n=sample.n,
-                  p=sample.p, h=reference.h, R=reference.R, seed=reference.seed)
-    reports: dict[str, TestReport] = {}
-    for mode in FINITE_MODES:
-        if mode in modes:
-            aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)
-            reports[mode] = TestReport(mode=mode, aggregate=aggregate, threshold=threshold,
-                                       reject=reject, **common)
-    return reports
-
-
-def m_test(sample: Sample, reference: NullReference, alpha: float) -> TestReport:
-    """Min-p rule against a Monte Carlo null reference."""
-    return run_tests(sample, reference, alpha, modes=("m",))["m"]
-
-
-def s_test(sample: Sample, reference: NullReference, alpha: float) -> TestReport:
-    """Sum rule against a Monte Carlo null reference."""
-    return run_tests(sample, reference, alpha, modes=("s",))["s"]
+    return _reports(sample, reference.h, lambda mask, stat: phat(reference, mask, stat),
+                    [m for m in FINITE_MODES if m in modes], alpha, reference.R,
+                    reference.seed)
 
 
 def build_asymptotic_tables(
@@ -327,22 +322,20 @@ def asymptotic_test(
     Always runs the full family of 2^p - 1 subsets. A p-value is one minus the
     empirical c.d.f. of the cardinality's table of M draws at the statistic,
     floored at 1/(M+1), as ``phat`` is at 1/(R+1), so the s-as sum is finite.
+    ``tables[k]`` must be the table of cardinality k, for each k in 1..p.
     """
     if mode not in ASYMPTOTIC_MODES:
         raise ValueError(f"unknown asymptotic mode {mode!r}; use 'm-as' or 's-as'")
     _check_alpha(alpha)
     p = sample.p
-    missing = [k for k in range(1, p + 1) if k not in tables]
-    if missing:
-        raise ValueError(f"missing limiting-norm tables for cardinalities {missing}")
-    stats = all_tent_norms(sample, p)
-    pvals = {mask: max(1.0 - asymptotic_cdf(tables[mask.bit_count()], stat),
-                       1.0 / (tables[mask.bit_count()].draws.shape[0] + 1))
-             for mask, stat in stats.items()}
-    aggregate, threshold, reject = _decide(mode, np.array(list(pvals.values())), alpha)
-    return TestReport(mode=mode, statistics=stats, p_values=pvals, aggregate=aggregate,
-                      threshold=threshold, alpha=alpha, reject=reject, n=sample.n, p=p,
-                      h=p, R=tables[1].draws.shape[0], seed=tables[1].seed)
+    bad = [k for k in range(1, p + 1) if k not in tables or tables[k].k != k]
+    if bad:
+        raise ValueError(f"limiting-norm tables missing or filed under another cardinality "
+                         f"at keys {bad}; key k must hold the table of cardinality k")
+    return _reports(sample, p, lambda mask, stat: max(
+        1.0 - asymptotic_cdf(tables[mask.bit_count()], stat),
+        1.0 / (tables[mask.bit_count()].draws.shape[0] + 1)),
+        (mode,), alpha, tables[1].draws.shape[0], tables[1].seed)[mode]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ class PowerExperiment:
         for mode in self.modes:
             if mode not in FINITE_MODES:
                 raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")
+            if self.modes.count(mode) > 1:
+                raise ValueError(f"mode {mode!r} is given more than once")
         if self.R < 1:
             raise ValueError("R must be >= 1")
         p = self.alternative.p

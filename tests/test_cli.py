@@ -399,6 +399,16 @@ class TestCmdPower:
         assert captured.out == ""
         assert captured.err == "error: unsupported mode 'x'; power studies use m and s\n"
 
+    @pytest.mark.parametrize("run", [
+        ["--alternative", "clayton:theta=2", "--n", "10", "--trials", "20", "--R", "19"],
+        ["--table", "copulas", "--trials", "0"],
+    ], ids=["alternative", "dry-run"])
+    def test_repeated_mode_refused(self, capsys, run):
+        assert main(["power", *run, "--modes", "m,m,s"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mode 'm' is given more than once\n"
+
     def test_output_file_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -420,6 +430,16 @@ class TestCmdDiagnose:
 
     def test_dimension_cap(self, capsys):
         assert main(["diagnose", "--p", "5"]) == 2
+
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--sheets", 0, 2), ("--sheets", 1, 2), ("--draws", 1, 2),
+        ("--pairs", 0, 1), ("--functions", 0, 1),
+    ])
+    def test_counts_that_check_nothing_refused(self, capsys, flag, value, least):
+        assert main(["diagnose", flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"
 
     def test_truncation_note(self, capsys):
         code = main(["diagnose", "--p", "1", "--grid-m", "5", "--functions", "3",

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -13,8 +14,8 @@ from scipy import stats
 import unicube.inference
 from unicube import (NullReference, RandomStream, Sample, asymptotic_norm_draws,
                      asymptotic_test, build_asymptotic_tables, build_null_reference,
-                     enumerate_subsets, load_reference, m_test, render_report, report_json,
-                     run_tests, s_test, save_reference, uniform_sample)
+                     enumerate_subsets, load_reference, render_report, report_json, run_tests,
+                     save_reference, uniform_sample)
 from unicube.brownian import TABLE_SCHEME
 from unicube.inference import _decide, load_table, phat, save_table, table_filename
 from unicube.special import chisq_quantile
@@ -67,7 +68,7 @@ class TestBuildNullReference:
         ref = build_null_reference(RandomStream(1), n=5, p=1, h=1, R=1)
         assert ref.norms[1].shape == (1,)
         sample = uniform_sample(RandomStream(2), 5, 1)
-        assert m_test(sample, ref, 0.5).p_values[1] in (0.5, 1.0)
+        assert run_tests(sample, ref, 0.5, modes=("m",))["m"].p_values[1] in (0.5, 1.0)
 
     def test_peak_memory_two_copies(self):
         # The statistics matrix (8,000 x 63, 3.8 MiB) is sorted in place and
@@ -272,34 +273,36 @@ class TestPhat:
 class TestMTest:
     def test_threshold_value(self, small_reference):
         sample = uniform_sample(RandomStream(5), 25, 2)
-        report = m_test(sample, small_reference, 0.05)
+        report = run_tests(sample, small_reference, 0.05, modes=("m",))["m"]
         assert report.threshold == pytest.approx(1.0 - 0.95 ** (1.0 / 3.0), abs=1e-12)
         assert report.threshold == pytest.approx(0.016952, abs=5e-7)
 
     def test_null_sample_with_large_pvalues_accepts(self, small_reference):
         sample = uniform_sample(RandomStream(5), 25, 2)
-        report = m_test(sample, small_reference, 0.05)
+        report = run_tests(sample, small_reference, 0.05, modes=("m",))["m"]
         if all(pv >= report.threshold for pv in report.p_values.values()):
             assert not report.reject
 
     def test_point_mass_rejects(self):
         ref = build_null_reference(RandomStream(11), n=50, p=2, h=2, R=999)
         sample = Sample(np.full((50, 2), 0.5))
-        report = m_test(sample, ref, 0.05)
+        report = run_tests(sample, ref, 0.05, modes=("m",))["m"]
         assert report.reject
         assert report.decision == "reject"
 
     def test_config_mismatch(self, small_reference):
         with pytest.raises(ValueError):
-            m_test(uniform_sample(RandomStream(1), 30, 2), small_reference, 0.05)
+            run_tests(uniform_sample(RandomStream(1), 30, 2), small_reference, 0.05,
+                      modes=("m",))["m"]
         with pytest.raises(ValueError):
-            m_test(uniform_sample(RandomStream(1), 25, 3), small_reference, 0.05)
+            run_tests(uniform_sample(RandomStream(1), 25, 3), small_reference, 0.05,
+                      modes=("m",))["m"]
 
 
 class TestSTest:
     def test_threshold_is_chisq_quantile(self, small_reference):
         sample = uniform_sample(RandomStream(6), 25, 2)
-        report = s_test(sample, small_reference, 0.05)
+        report = run_tests(sample, small_reference, 0.05, modes=("s",))["s"]
         assert report.threshold == pytest.approx(chisq_quantile(0.95, 3), abs=1e-12)
 
     def test_all_pvalues_one_keeps_null(self):
@@ -307,17 +310,17 @@ class TestSTest:
         vec = np.linspace(1.0, 2.0, 99)
         ref = NullReference(n=4, p=1, h=1, R=99, seed=0, norms={1: vec})
         sample = Sample(np.full((4, 1), 0.5))  # small statistic
-        report = s_test(sample, ref, 0.5)
+        report = run_tests(sample, ref, 0.5, modes=("s",))["s"]
         if report.p_values[1] == 1.0:
             assert report.aggregate == 0.0
             assert not report.reject
 
     def test_point_mass_rejects(self):
         ref = build_null_reference(RandomStream(12), n=50, p=2, h=2, R=999)
-        report = s_test(Sample(np.full((50, 2), 0.2)), ref, 0.05)
+        report = run_tests(Sample(np.full((50, 2), 0.2)), ref, 0.05, modes=("s",))["s"]
         assert report.reject
 
-    def test_agrees_with_m_test_for_single_subset(self):
+    def test_agrees_with_the_m_rule_for_single_subset(self):
         # With one subset both rules threshold the same p-value; exhaustive
         # over the whole p-hat grid, including alphas that sit exactly on it.
         R = 19
@@ -331,8 +334,8 @@ class TestSTest:
                                 norms={1: np.sort(np.concatenate([below, above]))})
             expected_pv = (count_above + 1) / (R + 1)
             for alpha in alphas:
-                m_report = m_test(sample, ref, alpha)
-                s_report = s_test(sample, ref, alpha)
+                m_report = run_tests(sample, ref, alpha, modes=("m",))["m"]
+                s_report = run_tests(sample, ref, alpha, modes=("s",))["s"]
                 assert m_report.p_values[1] == expected_pv
                 assert m_report.reject == s_report.reject, (alpha, expected_pv)
 
@@ -344,13 +347,13 @@ class TestDecisionPins:
     @pytest.mark.parametrize("f", [1, 3, 63])
     @pytest.mark.parametrize("pv", [1 / 1000, 0.05, 0.5, 1.0])
     def test_sum_transform(self, f, pv):
-        aggregate, _, _ = _decide("s", np.full(f, pv), 0.05)
-        assert aggregate == pytest.approx(f * stats.chi2.isf(pv, 1), rel=1e-12, abs=0.0)
+        aggregate, _, _ = _decide("s", np.full((1, f), pv), 0.05)
+        assert aggregate[0] == pytest.approx(f * stats.chi2.isf(pv, 1), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("f", [1, 3, 63])
     @pytest.mark.parametrize("alpha", [1 / 1000, 0.05, 0.5])
     def test_threshold(self, f, alpha):
-        _, threshold, _ = _decide("s", np.full(f, 0.5), alpha)
+        _, threshold, _ = _decide("s", np.full((1, f), 0.5), alpha)
         assert threshold == pytest.approx(stats.chi2.isf(alpha, f), rel=1e-12, abs=0.0)
 
 
@@ -365,6 +368,15 @@ class TestRunTests:
         with pytest.raises(ValueError):
             run_tests(uniform_sample(RandomStream(8), 25, 2), small_reference,
                       0.05, modes=("m-as",))
+
+    def test_report_holds_python_scalars(self, small_reference, tables):
+        # Each rule decides a one-row block; the report holds its aggregate
+        # as a Python float and its decision as a bool, for either calibration.
+        sample = uniform_sample(RandomStream(8), 25, 2)
+        reports = [*run_tests(sample, small_reference, 0.05).values(),
+                   *(asymptotic_test(sample, tables, 0.05, mode=m) for m in ("m-as", "s-as"))]
+        for report in reports:
+            assert type(report.aggregate) is float and type(report.reject) is bool
 
     def test_reports_deterministic(self, small_reference):
         sample = uniform_sample(RandomStream(8), 25, 2)
@@ -393,6 +405,14 @@ class TestAsymptoticTest:
         sample = uniform_sample(RandomStream(10), 40, 2)
         with pytest.raises(ValueError):
             asymptotic_test(sample, {1: tables[1]}, 0.05)
+
+    @pytest.mark.parametrize("keys", [{1: 2, 2: 1}, {1: 1, 2: 1}])
+    def test_table_under_another_cardinality_rejected(self, tables, keys):
+        # A table filed under the wrong key would give wrong p-values silently.
+        sample = uniform_sample(RandomStream(10), 40, 2)
+        bad = sorted(key for key, k in keys.items() if key != k)
+        with pytest.raises(ValueError, match=re.escape(f"at keys {bad}")):
+            asymptotic_test(sample, {key: tables[k] for key, k in keys.items()}, 0.05)
 
     def test_statistic_beyond_table_gets_floor_pvalue(self, tables):
         # A statistic above every one of the M draws gets p = 1/(M+1), as a

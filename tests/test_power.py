@@ -83,6 +83,11 @@ class TestEstimatePower:
         with pytest.raises(ValueError, match=repr(modes[-1])):
             PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=modes)
 
+    @pytest.mark.parametrize("modes", [("m", "m"), ("m", "s", "s"), ("s", "m", "s")])
+    def test_repeated_mode_rejected_at_construction(self, modes):
+        with pytest.raises(ValueError, match="given more than once"):
+            PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=modes)
+
     def test_rejection_counts_pinned(self):
         # One small cell of the published grid, pinned end to end: sampling,
         # tent statistics, p-values and both decision rules. R=199 cannot

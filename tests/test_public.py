@@ -17,8 +17,8 @@ PUBLIC = [
     "RandomStream", "Sample", "TestReport", "asymptotic_norm_draws",
     "asymptotic_test", "build_asymptotic_tables", "build_null_reference",
     "decompose", "enumerate_subsets", "estimate_power", "load_reference",
-    "m_test", "mask_members", "ramp_values", "reconstruct", "render_report",
-    "report_json", "run_tests", "s_test", "save_reference", "simulate_sheet",
+    "mask_members", "ramp_values", "reconstruct", "render_report", "report_json",
+    "run_tests", "save_reference", "simulate_sheet",
     "tent_bound_constant", "tent_norm", "truncated_sheet_covariance",
     "uniform_sample",
 ]

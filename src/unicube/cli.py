@@ -65,18 +65,16 @@ def _read_sample(path: str, skip_header: bool) -> Sample:
     return Sample(np.array(rows))
 
 
-def _cached(cache, name, load, build, save, config, request):
+def _cached(cache, name, load, build, save, named):
     """Load ``name`` from the ``cache`` directory, or build it (and save it
-    there when a directory is set). A loaded object whose ``config`` differs
-    from ``request`` is refused."""
+    there when a directory is set). A loaded object whose own file name,
+    ``named(found)``, is not ``name`` is refused."""
     path = os.path.join(cache, name) if cache else None
     if path and os.path.exists(path):
         found = load(path)
-        if config(found) != request:
-            got, want = (" ".join(f"{key}={value}" for key, value in c.items())
-                         for c in (config(found), request))
-            raise ValueError(f"{path}: cached configuration ({got}) does not match "
-                             f"request ({want})")
+        if named(found) != name:
+            raise ValueError(f"{path}: holds the configuration of {named(found)}, which "
+                             f"does not match the requested {name}")
         return found
     built = build()
     if path:
@@ -127,17 +125,14 @@ def cmd_test(args) -> int:
             tables[k] = _cached(
                 cache, table_filename(k, nu, draws, seed), load_table,
                 lambda: asymptotic_norm_draws(stream.child(k), k, nu_max=nu, draws=draws),
-                save_table,
-                lambda t: dict(k=t.k, nu_max=t.nu_max, draws=t.draws.shape[0], seed=t.seed),
-                dict(k=k, nu_max=nu, draws=draws, seed=seed))
+                save_table, lambda t: table_filename(t.k, t.nu_max, t.draws.shape[0], t.seed))
         reports = [asymptotic_test(sample, tables, args.alpha, mode=m) for m in modes]
     else:
         reference = _cached(
             cache, reference_filename(sample.n, sample.p, h, R, seed), load_reference,
             lambda: build_null_reference(RandomStream(seed), sample.n, sample.p, h, R,
                                          threads=args.threads or 1), save_reference,
-            lambda r: dict(n=r.n, p=r.p, h=r.h, R=r.R, seed=r.seed),
-            dict(n=sample.n, p=sample.p, h=h, R=R, seed=seed))
+            lambda r: reference_filename(r.n, r.p, r.h, r.R, r.seed))
         reports = list(run_tests(sample, reference, args.alpha, modes=modes).values())
 
     for report in reports:

@@ -244,12 +244,10 @@ def _decide(mode: str, block: np.ndarray, alpha: float):
         distinct = np.empty(0)
         for rows in slices:
             distinct = np.union1d(distinct, 1.0 - block[rows])
-        q = np.where(distinct >= 1.0, math.inf, 0.0)
-        inner = (distinct > 0.0) & (distinct < 1.0)
-        q[inner] = chisq_quantile(distinct[inner], 1)
+        q = chisq_quantile(distinct, 1)
         aggregate = np.array([math.fsum(row) for rows in slices
                               for row in q[np.searchsorted(distinct, 1.0 - block[rows])]])
-        threshold = chisq_quantile(1.0 - alpha, family_size)
+        threshold = float(chisq_quantile(1.0 - alpha, family_size))
         reject = aggregate > threshold
     return aggregate, threshold, reject
 
@@ -284,6 +282,8 @@ def run_tests(
     all requested modes, whose reports come in the order m, s.
     """
     _check_alpha(alpha)
+    if not modes:
+        raise ValueError("modes is empty; give at least one of 'm' and 's'")
     unknown = [m for m in modes if m not in FINITE_MODES]
     if unknown:
         raise ValueError(f"unknown finite-sample mode(s) {unknown}; use 'm' or 's'")
@@ -355,14 +355,11 @@ def table_filename(k: int, nu_max: int, draws: int, seed: int) -> str:
     return f"asym_k{k}_nu{nu_max}_M{draws}_s{seed}_scheme{TABLE_SCHEME}.v2.txt"
 
 
-def _format_cache(n: int, p: int, h: int, R: int, seed: int,
-                  vectors: dict[int, np.ndarray], scheme: int | None = None) -> bytes:
-    config = f"n={n} p={p} h={h} R={R} seed={seed}"
-    if scheme is not None:
-        config += f" scheme={scheme}"
+def _format_cache(config: dict[str, int], vectors: dict[int, np.ndarray]) -> bytes:
+    line = " ".join(f"{key}={value}" for key, value in config.items())
     masks = ",".join(f"{mask:x}" for mask in vectors)
     values = np.array(list(vectors.values()), dtype="<f8")
-    return (f"{CACHE_MAGIC}\n{config}\nmasks={masks}\n".encode("utf-8")
+    return (f"{CACHE_MAGIC}\n{line}\nmasks={masks}\n".encode("utf-8")
             + binascii.hexlify(values.tobytes()) + b"\n")
 
 
@@ -393,7 +390,7 @@ def _parse_cache(data: bytes, where: str) -> tuple[dict[str, int], dict[int, np.
     for key in ("n", "p", "h", "R", "seed"):
         if key not in config:
             raise ValueError(f"{where}: configuration line lacks {key}=")
-        if key in ("n", "R") and config[key] < 1:
+        if key in ("n", "p", "R") and config[key] < 1:
             raise ValueError(f"{where}: {key}={config[key]}; {key} must be >= 1")
     line, start = _header_line(data, start, where, "masks")
     key, _, body = line.partition("=")
@@ -439,8 +436,8 @@ def _write_atomic(path, data: bytes) -> None:
 
 
 def save_reference(reference: NullReference, path) -> None:
-    _write_atomic(path, _format_cache(reference.n, reference.p, reference.h, reference.R,
-                                      reference.seed, reference.norms))
+    _write_atomic(path, _format_cache(dict(n=reference.n, p=reference.p, h=reference.h,
+                                           R=reference.R, seed=reference.seed), reference.norms))
 
 
 def load_reference(path) -> NullReference:
@@ -463,9 +460,9 @@ def save_table(table: AsymptoticNormTable, path) -> None:
     ``scheme`` token records the stream layout of the draws (see
     :data:`unicube.brownian.TABLE_SCHEME`).
     """
-    _write_atomic(path, _format_cache(table.nu_max, table.k, table.k, table.draws.shape[0],
-                                      table.seed, {(1 << table.k) - 1: table.draws},
-                                      scheme=TABLE_SCHEME))
+    _write_atomic(path, _format_cache(
+        dict(n=table.nu_max, p=table.k, h=table.k, R=table.draws.shape[0], seed=table.seed,
+             scheme=TABLE_SCHEME), {(1 << table.k) - 1: table.draws}))
 
 
 def load_table(path) -> AsymptoticNormTable:

@@ -42,6 +42,8 @@ class PowerExperiment:
         _check_alpha(self.alpha)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not self.modes:
+            raise ValueError("modes is empty; give at least one of 'm' and 's'")
         for mode in self.modes:
             if mode not in FINITE_MODES:
                 raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")

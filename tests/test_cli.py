@@ -195,7 +195,7 @@ class TestCmdTest:
         code = main(args + ["--seed", "6"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "does not match" in err and "seed=5" in err and "seed=6" in err
+        assert "does not match" in err and "_s5_" in err and "_s6_" in err
 
     def test_asymptotic_mode_p6_writes_six_tables(self, tmp_path, capsys):
         data = uniform_sample(RandomStream(23), 50, 6).data

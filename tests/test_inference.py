@@ -371,12 +371,19 @@ class TestRunTests:
 
     def test_report_holds_python_scalars(self, small_reference, tables):
         # Each rule decides a one-row block; the report holds its aggregate
-        # as a Python float and its decision as a bool, for either calibration.
+        # and threshold as Python floats and its decision as a bool, for
+        # either calibration.
         sample = uniform_sample(RandomStream(8), 25, 2)
         reports = [*run_tests(sample, small_reference, 0.05).values(),
                    *(asymptotic_test(sample, tables, 0.05, mode=m) for m in ("m-as", "s-as"))]
         for report in reports:
             assert type(report.aggregate) is float and type(report.reject) is bool
+            assert type(report.threshold) is float
+
+    def test_empty_modes_refused(self, small_reference):
+        sample = uniform_sample(RandomStream(8), 25, 2)
+        with pytest.raises(ValueError, match="modes is empty"):
+            run_tests(sample, small_reference, 0.05, modes=())
 
     def test_reports_deterministic(self, small_reference):
         sample = uniform_sample(RandomStream(8), 25, 2)
@@ -622,6 +629,15 @@ class TestCacheValidation:
         with pytest.raises(ValueError, match=message) as info:
             load_reference(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_table_below_cardinality_one_refused(self, tmp_path, k):
+        path = tmp_path / "table.txt"
+        path.write_text(f"unicube-null v2\nn=8 p={k} h={k} R=3 seed=1 scheme={TABLE_SCHEME}\n"
+                        f"masks=0\n{'0' * 48}\n")
+        with pytest.raises(ValueError) as info:
+            load_table(path)
+        assert str(info.value) == f"{path}: p={k}; p must be >= 1"
 
     @pytest.mark.parametrize("load", [load_reference, load_table])
     def test_earlier_format_refused(self, tmp_path, load):

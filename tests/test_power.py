@@ -83,6 +83,10 @@ class TestEstimatePower:
         with pytest.raises(ValueError, match=repr(modes[-1])):
             PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=modes)
 
+    def test_empty_modes_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="modes is empty"):
+            PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=())
+
     @pytest.mark.parametrize("modes", [("m", "m"), ("m", "s", "s"), ("s", "m", "s")])
     def test_repeated_mode_rejected_at_construction(self, modes):
         with pytest.raises(ValueError, match="given more than once"):
@@ -100,8 +104,8 @@ class TestEstimatePower:
     @pytest.mark.parametrize("batch", [256, 16])
     def test_one_quantile_pass_per_cell(self, monkeypatch, batch):
         # The cell is decided once, however many work units score it: one
-        # transform call on at most R distinct values 1 - (k + 1)/(R + 1) and
-        # one threshold call per estimate_power call.
+        # transform call on at most R + 1 distinct values 1 - (k + 1)/(R + 1),
+        # k = 0..R, and one threshold call per estimate_power call.
         exp = PowerExperiment(AlternativeSpec("normal-copula", p=6, rho=0.3), n=50,
                               trials=40, R=199, seed=5)
         reference = build_null_reference(RandomStream(5).child(0), 50, 6, 6, 199)
@@ -115,7 +119,7 @@ class TestEstimatePower:
         monkeypatch.setattr(unicube.inference, "chisq_quantile", counted)
         out = estimate_power(exp, reference=reference)
         assert sorted(ndim for ndim, _ in calls) == [0, 1]
-        assert max(size for ndim, size in calls if ndim == 1) <= exp.R
+        assert max(size for ndim, size in calls if ndim == 1) <= exp.R + 1
         assert {mode: est.rejections for mode, est in out.items()} == {"m": 0, "s": 31}
 
     def test_cell_peak_memory_bounded(self):

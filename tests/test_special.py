@@ -55,6 +55,13 @@ class TestChisqQuantile:
             expected = stats.norm.ppf((1.0 + u) / 2.0) ** 2
             assert abs(chisq_quantile(u, 1) - expected) < 1e-8
 
+    @pytest.mark.parametrize("f", [1, 3, 63])
+    def test_endpoints(self, f):
+        # The s rule passes 1 - p for p = 1 and p = 0 straight through.
+        assert chisq_quantile(0.0, f) == 0.0
+        assert chisq_quantile(1.0, f) == math.inf
+        assert list(chisq_quantile(np.array([0.0, 1.0]), f)) == [0.0, math.inf]
+
     def test_median_two_dof(self):
         assert abs(chisq_quantile(0.5, 2) - 2.0 * math.log(2.0)) < 1e-9
 

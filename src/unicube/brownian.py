@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RandomStream, _frozen, enumerate_subsets, mask_cardinality, mask_members
-from .decompose import ramp_values
+from .decompose import RampComponent, grid_coords, reconstruct
 
 #: Variates (one per weight class and draw) per derived sub-stream when
 #: generating norm tables. The block layout depends only on the table
@@ -131,8 +131,7 @@ def simulate_tent(stream: RandomStream, mask: int, cfg: KLConfig = KLConfig()) -
     if k == 0:
         raise ValueError("subset must be nonempty")
     nu_max = cfg.resolve_nu_max(k)
-    t = np.linspace(0.0, 1.0, cfg.grid_m)
-    basis = _sine_basis(nu_max, t)
+    basis = _sine_basis(nu_max, grid_coords(cfg.grid_m))
     v = np.arange(1, nu_max + 1, dtype=np.float64)
     z = stream.generator().standard_normal((nu_max,) * k)
     coeff = z / (np.pi ** k)
@@ -148,20 +147,17 @@ def simulate_tent(stream: RandomStream, mask: int, cfg: KLConfig = KLConfig()) -
 def simulate_sheet(stream: RandomStream, p: int, cfg: KLConfig = KLConfig()) -> np.ndarray:
     """One draw of the Brownian sheet on the lattice over [0,1]^p.
 
-    Built as the sum of independent ramps: one independent Gaussian tent per
-    nonempty subset plus, for the empty subset, a single standard normal
-    scaled by the product of all coordinates. Covariance of the result is
-    prod_j min(s_j, t_j).
+    Built as the reconstruction of its 2^p independent ramp components: a
+    single standard normal for the empty subset (scaled by the product of
+    all coordinates) and one Gaussian tent per nonempty subset. Covariance
+    of the result is prod_j min(s_j, t_j). The returned array is read-only.
     """
     if not 1 <= p <= 4:
         raise ValueError("sheet simulation is limited to p <= 4 (grid memory)")
-    m = cfg.grid_m
-    corner = stream.child(0).generator().standard_normal()
-    sheet = ramp_values(0, np.array(corner), m, p)
+    components = [RampComponent(0, stream.child(0).generator().standard_normal())]
     for index, mask in enumerate(enumerate_subsets(p, p), start=1):
-        tent = simulate_tent(stream.child(index), mask, cfg)
-        sheet += ramp_values(mask, tent, m, p)
-    return sheet
+        components.append(RampComponent(mask, simulate_tent(stream.child(index), mask, cfg)))
+    return reconstruct(components, cfg.grid_m).values
 
 
 def weight_classes(k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:

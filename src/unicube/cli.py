@@ -22,7 +22,7 @@ from .alternatives import parse_alternative
 from .brownian import (KLConfig, asymptotic_norm_draws, simulate_sheet,
                        truncated_sheet_covariance, truncation_tail_mean)
 from .core import RandomStream, Sample, subset_count
-from .decompose import GridFunction, decompose, reconstruct
+from .decompose import GridFunction, decompose, grid_coords, reconstruct
 from .inference import (ASYMPTOTIC_MODES, _check_alpha, _minp_threshold,
                         asymptotic_test, build_null_reference, load_reference, load_table,
                         reference_filename, render_report, report_json, run_tests,
@@ -212,9 +212,7 @@ def cmd_diagnose(args) -> int:
     for _ in range(args.functions):
         values = rng.uniform(-1.0, 1.0, size=(args.grid_m,) * args.p)
         for axis in range(args.p):
-            index = [slice(None)] * args.p
-            index[axis] = 0
-            values[tuple(index)] = 0.0
+            np.moveaxis(values, axis, 0)[0] = 0.0
         g = GridFunction(values)
         rebuilt = reconstruct(decompose(g), args.grid_m)
         worst = max(worst, float(np.max(np.abs(rebuilt.values - g.values))))
@@ -225,7 +223,7 @@ def cmd_diagnose(args) -> int:
     # Sheet covariance at random lattice pairs.
     cfg = KLConfig(nu_max=args.truncation, grid_m=args.grid_m)
     pair_rng = root.child(1).generator()
-    t_axis = np.linspace(0.0, 1.0, args.grid_m)
+    t_axis = grid_coords(args.grid_m)
     pairs = []
     for _ in range(args.pairs):
         si = pair_rng.integers(1, args.grid_m, size=args.p)

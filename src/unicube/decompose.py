@@ -17,6 +17,7 @@ speed throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import _frozen, enumerate_subsets, mask_members
 _BOUNDARY_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values of a function on the lattice {0, 1/(m-1), ..., 1}^p.
 
@@ -33,10 +35,10 @@ class GridFunction:
     zero coordinate.
     """
 
-    __slots__ = ("values",)
+    values: np.ndarray
 
-    def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=np.float64)
+    def __post_init__(self) -> None:
+        arr = _frozen(self.values)
         if arr.ndim < 1:
             raise ValueError("grid must have at least one axis")
         m = arr.shape[0]
@@ -48,10 +50,7 @@ class GridFunction:
                 raise ValueError(
                     f"function does not vanish on the lower boundary (axis {axis})"
                 )
-        object.__setattr__(self, "values", _frozen(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridFunction is immutable")
+        object.__setattr__(self, "values", arr)
 
     @property
     def m(self) -> int:
@@ -62,17 +61,20 @@ class GridFunction:
         return self.values.ndim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RampComponent:
     """One component of the decomposition: a subset mask and its tent values.
 
-    ``tent`` has one axis of extent m per coordinate in the mask (a 0-d array
-    for the empty mask). The implied full-grid ramp is the tent times the
-    product of the coordinates outside the mask; see :func:`ramp_values`.
+    ``tent`` is a read-only copy with one axis of extent m per coordinate in
+    the mask (0-d for the empty mask). The implied full-grid ramp is the tent
+    times the product of the coordinates outside the mask; see :func:`ramp_values`.
     """
 
     mask: int
     tent: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tent", _frozen(self.tent))
 
 
 def grid_coords(m: int) -> np.ndarray:
@@ -100,30 +102,20 @@ def ramp_values(mask: int, tent: np.ndarray, m: int, p: int) -> np.ndarray:
 def decompose(g) -> list[RampComponent]:
     """Split a grid function into its 2^p ramp components.
 
-    Components are returned with the empty mask first, then nonempty masks by
-    increasing cardinality and bit pattern. The sweep takes the tents of one
-    cardinality tier from the same residual before subtracting any of them.
+    Components come by increasing cardinality, then bit pattern: the empty
+    mask first (tier 0, whose face is the corner). The sweep takes the tents
+    of one tier from the same residual before subtracting any of them.
     """
     if not isinstance(g, GridFunction):
         g = GridFunction(g)
-    values = g.values
     p, m = g.p, g.m
-    residual = values.copy()
-
-    corner = (m - 1,) * p
-    components = [RampComponent(0, np.array(values[corner]))]
-    residual -= ramp_values(0, components[0].tent, m, p)
-
-    by_cardinality: dict[int, list[int]] = {}
-    for mask in enumerate_subsets(p, p):
-        by_cardinality.setdefault(mask.bit_count(), []).append(mask)
-
-    for k in range(1, p + 1):
+    residual = g.values.copy()
+    components = []
+    for _, masks in groupby([0] + enumerate_subsets(p, p), key=int.bit_count):
         tier = []
-        for mask in by_cardinality[k]:
-            members = mask_members(mask)
-            index = tuple(slice(None) if j in members else m - 1 for j in range(p))
-            tier.append(RampComponent(mask, residual[index].copy()))
+        for mask in masks:
+            index = tuple(slice(None) if mask >> j & 1 else m - 1 for j in range(p))
+            tier.append(RampComponent(mask, residual[index]))
         for component in tier:
             residual -= ramp_values(component.mask, component.tent, m, p)
         components.extend(tier)
@@ -147,10 +139,7 @@ def reconstruct(components: list[RampComponent], m: int) -> GridFunction:
         raise ValueError("duplicate subset among components")
     if sorted(seen) != sorted(range(1 << p)):
         raise ValueError(f"components must cover all {1 << p} subsets exactly once")
-    total = np.zeros((m,) * p)
-    for component in components:
-        total += ramp_values(component.mask, component.tent, m, p)
-    return GridFunction(total)
+    return GridFunction(sum(ramp_values(c.mask, c.tent, m, p) for c in components))
 
 
 def tent_bound_constant(p: int) -> int:

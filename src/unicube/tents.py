@@ -173,21 +173,15 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
     sums = np.empty((len(masks), rows))
     acc = out.T
     acc.fill(0.0)
-    # Views of the work arrays, made once per step shape: only the last block
-    # and the last tile differ from the first.
-    views = {}
     for ta, tb, weight in _pair_tiles(n):
         for start in range(0, b, rows):
             shape = (min(rows, b - start), ta.size)
-            if shape not in views:
-                size = shape[0] * shape[1]
-                views[shape] = (factors[:p * size].reshape(p, *shape),
-                                [level[:size].reshape(shape) for level in products],
-                                sums[:, :shape[0]])
-            block_factors, levels, block_sums = views[shape]
+            size = shape[0] * shape[1]
+            block_factors = factors[:p * size].reshape(p, *shape)
             _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, scratch)
-            _subset_product(walk, weight, block_factors, block_sums, levels)
-            acc[:, start:start + shape[0]] += block_sums
+            _subset_product(walk, weight, block_factors, sums[:, :shape[0]],
+                            [level[:size].reshape(shape) for level in products])
+            acc[:, start:start + shape[0]] += sums[:, :shape[0]]
     acc /= n
     return out
 

@@ -13,7 +13,7 @@ from scipy import integrate
 
 import unicube.brownian
 from unicube import (AsymptoticNormTable, KLConfig, RandomStream, asymptotic_norm_draws,
-                     simulate_sheet, truncated_sheet_covariance)
+                     enumerate_subsets, ramp_values, simulate_sheet, truncated_sheet_covariance)
 from unicube.brownian import (_BLOCK_ELEMENTS, asymptotic_cdf, default_nu_max, simulate_tent,
                               truncated_tent_kernel, truncation_tail_mean, weight_classes)
 
@@ -114,6 +114,22 @@ class TestSimulateSheet:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             simulate_sheet(RandomStream(1), 5)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_is_corner_plus_tents_ramp_sum(self, p):
+        # The corner normal's ramp first, then each tent's in subset order.
+        cfg = KLConfig(grid_m=5)
+        stream = RandomStream(40 + p)
+        expected = ramp_values(0, stream.child(0).generator().standard_normal(), 5, p)
+        for index, mask in enumerate(enumerate_subsets(p, p), start=1):
+            expected += ramp_values(mask, simulate_tent(stream.child(index), mask, cfg), 5, p)
+        assert np.array_equal(simulate_sheet(stream, p, cfg), expected)
+
+    def test_result_is_read_only(self):
+        sheet = simulate_sheet(RandomStream(3), 2, KLConfig(grid_m=5))
+        assert not sheet.flags.writeable
+        with pytest.raises(ValueError):
+            sheet[1, 1] = 0.0
 
 
 class TestTruncatedCovariance:

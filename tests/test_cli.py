@@ -449,6 +449,20 @@ class TestCmdDiagnose:
         assert "truncation at 5" in out
         assert code in (0, 1)
 
+    @pytest.mark.parametrize("extra,digest", [
+        (["--p", "1"], "5620a06f53c46e976dd48d9c6ef11d7662c493d6aaea27109eb6c9cf383c6977"),
+        (["--p", "2"], "b63d5adb87585331e504accf20414bf6660314451ada636623b3eed24859f389"),
+        (["--p", "3"], "442b8c1aa6d2a4e2bd45c09522826b22abb6ff760f209b915e76eab4770cf31e"),
+        (["--p", "4"], "d7e367bc5c9b4d3f4c10920942a4b75315605575cf0ec87425b9fb21d0289078"),
+        (["--p", "2", "--grid-m", "7", "--truncation", "8"],
+         "f59db91e53b3acb495a86dc340476712d9b01baefd37df1b1a2388d35288051a"),
+    ], ids=["p1", "p2", "p3", "p4", "truncation"])
+    def test_stdout_bits_pinned(self, capsys, extra, digest):
+        code = main(["diagnose", "--grid-m", "5", "--functions", "3", "--sheets", "40",
+                     "--pairs", "3", "--draws", "400", "--seed", "6"] + extra)
+        assert code == 0
+        assert _sha(capsys.readouterr().out) == digest
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["test", "null", "power", "diagnose"])

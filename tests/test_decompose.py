@@ -1,11 +1,14 @@
 """Grid decomposition into ramp components: round trips, uniqueness,
 face-vanishing, linearity, and the sup bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from unicube import (GridFunction, RandomStream, decompose, enumerate_subsets, mask_members,
-                     ramp_values, reconstruct, tent_bound_constant, uniform_sample)
+from unicube import (GridFunction, RampComponent, RandomStream, decompose, enumerate_subsets,
+                     mask_members, ramp_values, reconstruct, tent_bound_constant,
+                     uniform_sample)
 from unicube.decompose import grid_coords
 from unicube.tents import tent_eval
 
@@ -144,6 +147,28 @@ class TestDecompose:
 
     def test_bound_constant_values(self):
         assert [tent_bound_constant(p) for p in range(1, 5)] == [2, 6, 32, 350]
+
+    @pytest.mark.parametrize("seed,p,m,digest", [
+        (31, 2, 7, "95d8d45381786c31d0c38f2ff31dc9e659c3dcb90abce2c59ce3cde055151c44"),
+        (32, 3, 5, "f19bb6ae7185edaf80a4a8918c8266ef46b3759b56bd1d7f4190cf15c20d3e9f"),
+    ], ids=["p2-m7", "p3-m5"])
+    def test_tent_bits_pinned(self, seed, p, m, digest):
+        # sha256 of the tents' bytes in component order.
+        h = hashlib.sha256()
+        for component in decompose(random_grid_function(np.random.default_rng(seed), p, m)):
+            h.update(component.tent.tobytes())
+        assert h.hexdigest() == digest
+
+
+class TestRampComponent:
+    def test_identity_equality_hash_and_read_only_tent(self):
+        component = decompose(random_grid_function(np.random.default_rng(8), 2, 5))[-1]
+        assert component == component
+        assert component != RampComponent(component.mask, component.tent)
+        assert hash(component) == hash(component)
+        assert not component.tent.flags.writeable
+        with pytest.raises(ValueError):
+            component.tent[1, 1] = 0.0
 
 
 class TestReconstruct:

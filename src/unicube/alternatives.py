@@ -10,6 +10,7 @@ oracle for the samplers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,13 @@ from scipy.special import betaincinv, ndtr
 
 from .core import RandomStream, Sample, _check_family
 
-FAMILIES = ("uniform", "amh", "fgm", "clayton", "plackett", "beta-iid", "normal-copula")
+# The parameters each family takes, in the order the power CSV labels them.
+_PARAMETERS = {"uniform": (), "amh": ("theta",), "fgm": ("theta",), "clayton": ("theta",),
+               "plackett": ("theta",), "beta-iid": ("alpha", "beta"), "normal-copula": ("rho",)}
 
-_BIVARIATE = ("amh", "fgm", "clayton", "plackett")
+FAMILIES = tuple(_PARAMETERS)
+
+_NAMES = ("theta", "alpha", "beta", "rho")  # every parameter but p, each a float
 
 # The standard normal c.d.f.; its one input, normals times a Cholesky factor,
 # is always finite. The module-level name is what perfbench's tracer wraps.
@@ -42,11 +47,15 @@ class AlternativeSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; supported: {', '.join(FAMILIES)}")
         _check_family(self.p, 1)
+        takes = _PARAMETERS[self.family]
+        given = {name: getattr(self, name) for name in _NAMES if getattr(self, name) is not None}
+        if tuple(given) != takes or not all(map(math.isfinite, given.values())):
+            wanted = f"finite {', '.join(takes)}" if takes else "no parameter"
+            got = ", ".join(f"{name}={value}" for name, value in given.items()) or "none"
+            raise ValueError(f"{self.family} takes {wanted}; got {got}")
         if self.family in _BIVARIATE:
             if self.p != 2:
                 raise ValueError(f"{self.family} copula requires p=2")
-            if self.theta is None:
-                raise ValueError(f"{self.family} needs theta")
             th = self.theta
             if self.family == "amh" and not -1.0 <= th < 1.0:
                 raise ValueError(f"amh needs theta in [-1, 1), got {th}")
@@ -56,14 +65,9 @@ class AlternativeSpec:
                 raise ValueError(f"clayton needs theta in [-1, inf) \\ {{0}}, got {th}")
             if self.family == "plackett" and not th > 0.0:
                 raise ValueError(f"plackett needs theta > 0, got {th}")
-        elif self.family == "beta-iid":
-            if self.alpha is None or self.beta is None:
-                raise ValueError("beta-iid needs alpha and beta")
-            if self.alpha <= 0.0 or self.beta <= 0.0:
-                raise ValueError("beta-iid needs alpha > 0 and beta > 0")
+        elif self.family == "beta-iid" and (self.alpha <= 0.0 or self.beta <= 0.0):
+            raise ValueError("beta-iid needs alpha > 0 and beta > 0")
         elif self.family == "normal-copula":
-            if self.rho is None:
-                raise ValueError("normal-copula needs rho")
             if self.p < 2:
                 raise ValueError("normal-copula needs p >= 2")
             low = -1.0 / (self.p - 1)
@@ -86,9 +90,11 @@ def parse_alternative(text: str) -> AlternativeSpec:
             key = key.strip()
             if not value:
                 raise ValueError(f"malformed parameter {item!r} in {text!r}")
+            if key in kwargs:
+                raise ValueError(f"parameter {key!r} given twice in {text!r}")
             if key == "p":
                 kwargs[key] = int(value)
-            elif key in ("theta", "alpha", "beta", "rho"):
+            elif key in _NAMES:
                 kwargs[key] = float(value)
             else:
                 raise ValueError(f"unknown parameter {key!r} in {text!r}")
@@ -161,6 +167,13 @@ def _amh_conditional_inverse(u, w, th, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+_CONDITIONAL_INVERSE = {"amh": _amh_conditional_inverse, "fgm": _fgm_conditional_inverse,
+                        "clayton": _clayton_conditional_inverse,
+                        "plackett": _plackett_conditional_inverse}
+
+_BIVARIATE = tuple(_CONDITIONAL_INVERSE)
+
+
 def sample_alternative(stream: RandomStream, spec: AlternativeSpec, n: int) -> Sample:
     """n i.i.d. draws from the alternative, deterministic per stream."""
     if n < 1:
@@ -172,17 +185,8 @@ def sample_alternative(stream: RandomStream, spec: AlternativeSpec, n: int) -> S
         return Sample(rng.random((n, spec.p)))
 
     if fam in _BIVARIATE:
-        u = rng.random(n)
-        w = rng.random(n)
-        th = spec.theta
-        if fam == "fgm":
-            v = _fgm_conditional_inverse(u, w, th)
-        elif fam == "clayton":
-            v = _clayton_conditional_inverse(u, w, th)
-        elif fam == "plackett":
-            v = _plackett_conditional_inverse(u, w, th)
-        else:
-            v = _amh_conditional_inverse(u, w, th)
+        u, w = rng.random(n), rng.random(n)
+        v = _CONDITIONAL_INVERSE[fam](u, w, spec.theta)
         return Sample(np.column_stack([u, np.clip(v, 0.0, 1.0)]))
 
     if fam == "beta-iid":

@@ -135,12 +135,12 @@ def cmd_test(args) -> int:
             lambda r: reference_filename(r.n, r.p, r.h, r.R, r.seed))
         reports = list(run_tests(sample, reference, args.alpha, modes=modes).values())
 
-    for report in reports:
-        sys.stdout.write(render_report(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             for report in reports:
                 fh.write(report_json(report) + "\n")
+    for report in reports:
+        sys.stdout.write(render_report(report))
     _warn_m_rule(modes, draws if asymptotic else R, args.alpha, [(sample.p, h)])
     return 1 if any(r.reject for r in reports) else 0
 
@@ -367,6 +367,9 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", None)
         if threads is not None and threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
+        for path in filter(None, (getattr(args, "json", None), getattr(args, "out", None))):
+            if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
+                raise ValueError(f"{path}: not writable (missing directory or no permission)")
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -61,6 +61,7 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Sample:
     """An n x p matrix of observations, every entry inside [0, 1].
 
@@ -68,10 +69,10 @@ class Sample:
     validated on construction and frozen afterwards.
     """
 
-    __slots__ = ("data",)
+    data: np.ndarray
 
-    def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.float64)
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -85,9 +86,6 @@ class Sample:
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("sample entries must lie in [0, 1]")
         object.__setattr__(self, "data", _frozen(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sample is immutable")
 
     @property
     def n(self) -> int:

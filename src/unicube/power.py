@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, sample_alternative
+from .alternatives import _PARAMETERS, AlternativeSpec, sample_alternative
 from .core import RandomStream, enumerate_subsets, subset_count
 from .inference import (FINITE_MODES, NullReference, _check_alpha, _check_budget,
                         _decide, _statistic_matrix, build_null_reference, phat)
@@ -203,13 +203,7 @@ CSV_HEADER = tuple(field.name for field in fields(ResultRow))
 
 
 def _param_string(spec: AlternativeSpec) -> str:
-    if spec.family == "beta-iid":
-        return f"alpha={spec.alpha:g};beta={spec.beta:g}"
-    if spec.family == "normal-copula":
-        return f"rho={spec.rho:g}"
-    if spec.theta is not None:
-        return f"theta={spec.theta:g}"
-    return ""
+    return ";".join(f"{name}={getattr(spec, name):g}" for name in _PARAMETERS[spec.family])
 
 
 def _grid_cells(table: str, rho: float | None):

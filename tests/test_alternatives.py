@@ -28,6 +28,11 @@ class TestSpecValidation:
         dict(family="beta-iid", alpha=0.0, beta=1.0),
         dict(family="normal-copula", rho=1.0, p=3),
         dict(family="normal-copula", rho=-0.6, p=3),
+        dict(family="uniform", theta=3.0),
+        dict(family="clayton", theta=2.0, rho=0.3),
+        dict(family="clayton", theta=float("inf")),
+        dict(family="clayton", theta=float("nan")),
+        dict(family="beta-iid", alpha=float("inf"), beta=1.0),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -58,6 +63,8 @@ class TestParse:
             parse_alternative("clayton:theta")
         with pytest.raises(ValueError):
             parse_alternative("clayton:scale=2")
+        with pytest.raises(ValueError):
+            parse_alternative("clayton:theta=2,theta=3")
         with pytest.raises(ValueError):
             parse_alternative("nope:theta=1")
 

@@ -358,6 +358,21 @@ class TestExitCodes:
         assert f"--threads must be >= 1, got {threads}" in captured.err
         assert not (tmp_path / "ref.txt").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["test", "{csv}", "--R", "49", "--null-cache", "{cache}", "--json", "{missing}/r.json"],
+        ["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9", "--out", "{missing}/ref.txt"],
+        ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
+         "--R", "19", "--out", "{missing}/p.csv"],
+    ], ids=["test-json", "null-out", "power-out"])
+    def test_output_in_missing_directory_refused_first(self, uniform_csv, tmp_path, capsys,
+                                                       command):
+        argv = [arg.format(csv=uniform_csv, cache=tmp_path / "cache", missing=tmp_path / "no")
+                for arg in command]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {argv[-1]}: not writable (missing directory or no permission)\n")
+        assert os.listdir(tmp_path) == [uniform_csv.name]
+
 
 class TestCmdPower:
     def test_copulas_dry_run_row_count(self, capsys):
@@ -624,6 +639,8 @@ class TestPowerOptionScope:
          "max cardinality must be in [1, 2], got 3"),
         (["test", "{csv}", "--h", "0", "--null-cache", "{written}"],
          "max cardinality must be in [1, 2], got 0"),
+        (["power", "--alternative", "uniform:p=2,theta=3", "--trials", "5", "--R", "9"],
+         "uniform takes no parameter; got theta=3.0"),
     ])
     def test_refused(self, uniform_csv, tmp_path, capsys, argv, message):
         written = tmp_path / "written"

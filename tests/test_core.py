@@ -85,6 +85,14 @@ class TestSample:
         with pytest.raises((ValueError, AttributeError)):
             s.data[0, 0] = 0.2
 
+    def test_frozen_record_compared_by_identity(self):
+        s = Sample([[0.5, 0.25]])
+        with pytest.raises(AttributeError):
+            s.data = np.zeros((1, 2))
+        assert s == s and s != Sample([[0.5, 0.25]])
+        assert len({s, s}) == 1
+        assert repr(s) == "Sample(n=1, p=2)"
+
 
 class TestRandomStream:
     def test_same_stream_identical_output(self):

@@ -368,6 +368,8 @@ def main(argv=None) -> int:
         if threads is not None and threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
         for path in filter(None, (getattr(args, "json", None), getattr(args, "out", None))):
+            if os.path.isdir(path):
+                raise ValueError(f"{path}: is a directory")
             if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
                 raise ValueError(f"{path}: not writable (missing directory or no permission)")
         return args.func(args)

@@ -125,7 +125,8 @@ def _statistic_matrix(draw, count: int, shape: tuple[int, int], masks: list[int]
     workers, at most one per unit and per CPU: the calling thread and a pool
     of the others, so that one worker starts no thread. Each worker takes
     unit starts from one shared iterator until it runs out. A unit draws its
-    samples into one batch array, and the kernel writes their statistics
+    samples into one (p, unit, n) array, the only copy of them it holds,
+    through its (unit, n, p) view, and the kernel writes their statistics
     straight into the unit's rows of the result. After a unit fails no
     worker takes another, and the first error is raised once all have
     stopped. Each row depends on its sample alone, so neither the units nor
@@ -145,7 +146,7 @@ def _statistic_matrix(draw, count: int, shape: tuple[int, int], masks: list[int]
                 return
             stop = min(start + _REPLICATE_BATCH, count)
             try:
-                batch = np.empty((stop - start, *shape))
+                batch = np.empty((shape[1], stop - start, shape[0])).transpose(1, 2, 0)
                 for i in range(start, stop):
                     batch[i - start] = draw(i)
                 _norms_for_masks(batch, masks, out=out[start:stop])

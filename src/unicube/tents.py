@@ -13,14 +13,17 @@ products over one tile stay cache-sized. Within a tile one loop builds the
 products in ascending mask order, which is depth first, each from the
 product of the subset minus its lowest bit, so a whole family of subsets
 costs barely more than a single one and only one product per cardinality is
-held at a time. The work arrays (the block's pair factors, one product per
-depth, the block's sums) are allocated once per call and every step writes
-into them, and the pair indices are built a fixed number of pairs at a time
-from O(n) row ends. So the pairwise arrays are bounded by one row block
-times one tile and the indices by a constant, not by the batch, n^2 or the
-number of subsets. Only the (batch, subsets) result, which the caller may
-supply, grows with the batch, and it and the block's sums with the number of
-subsets.
+held at a time. The samples are read coordinate-major, from a (p, batch, n)
+array that a work unit draws into and the kernel sorts in place, so a unit
+holds them once. The work arrays (the block's pair factors, one product per
+depth, the first two of which are the pair factors' scratch, and the
+block's sums) are allocated once per call and every step writes into them,
+and the pair indices are built a fixed number of pairs at a time from O(n)
+row ends. So the pairwise arrays are bounded by one row block times one
+tile and the indices by a constant, not by the batch, n^2 or the number of
+subsets. Only the samples and the (batch, subsets) result, which the caller
+may supply, grow with the batch, and the result and the block's sums with
+the number of subsets.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ def _pair_factors(block: np.ndarray, ta: np.ndarray, tb: np.ndarray,
     ``out`` of shape (p, rows, pairs).
 
     The coordinates go in slabs of as many as fit in ``_BLOCK_BYTES``, each
-    gathered and combined in place through the two rows of ``scratch``, in
-    the operation order of :func:`pair_factor`, so each value has its bits.
+    gathered and combined in place through the first two rows of
+    ``scratch``, in the operation order of :func:`pair_factor`, so each value
+    has its bits (halving by ``*= 0.5`` rounds exactly as ``/ 2.0`` does).
     """
     p, rows, pairs = out.shape
     step = max(1, _BLOCK_BYTES // (8 * rows * pairs))
@@ -72,7 +76,7 @@ def _pair_factors(block: np.ndarray, ta: np.ndarray, tb: np.ndarray,
         u *= u
         v *= v
         u += v
-        u /= 2.0
+        u *= 0.5
         u -= top
         u += 1.0 / 3.0
 
@@ -89,15 +93,24 @@ def _subset_product(walk: list[tuple[int, int, int | None]], weight: np.ndarray,
             levels[depth].sum(axis=-1, out=sums[column])
 
 
-def _canonical_rows(points: np.ndarray) -> np.ndarray:
-    """Rows sorted lexicographically (first column primary).
+def _canonical_rows(coords: np.ndarray) -> None:
+    """Sort the rows of each sample of a C-contiguous (p, B, n) array in
+    place, lexicographically with the first coordinate primary.
 
     The statistics are symmetric in the observations but floating-point
     accumulation is not, so a canonical row order makes them bitwise
-    invariant under row permutations.
+    invariant under row permutations. One stable argsort of the first
+    coordinate orders every sample, and only a sample with a tie there is
+    then lexsorted. Both sorts are stable and lexsort's primary key is the
+    first coordinate, so each sample gets the order of one lexsort of its
+    rows as drawn, even among rows that compare equal (0.0 and -0.0).
     """
-    order = np.lexsort(points.T[::-1])
-    return points[order]
+    first = coords[0]
+    coords[:] = coords[:, np.arange(coords.shape[1])[:, None],
+                       first.argsort(axis=1, kind="stable")]
+    for i in np.flatnonzero((first[:, 1:] <= first[:, :-1]).any(axis=1)):
+        item = coords[:, i]
+        item[:] = item[:, np.lexsort(item[::-1])]
 
 
 def _pair_tiles(n: int):
@@ -127,6 +140,11 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
                      out: np.ndarray | None = None) -> np.ndarray:
     """Squared norms for a (B, n, p) batch, one column per mask: (B, len(masks)).
 
+    Each sample's rows are sorted in the batch's (p, B, n) transpose, in place
+    when that is writable and C-contiguous (a work unit's view of its
+    samples, or any C-contiguous batch at p = 1); any other batch is copied
+    first and comes back unchanged.
+
     The norms are accumulated in ``out``, a float64 (B, len(masks)) array
     such as a row slice of the caller's statistics matrix, through its
     transposed view, and ``out`` is returned; by default it is allocated.
@@ -152,9 +170,10 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
                          f"not {out.dtype} {out.shape}")
     # Coordinate-major and C-contiguous, so that each gather reads along a
     # contiguous row of n values.
-    coords = np.empty((p, b, n))
-    for i, item in enumerate(batch):
-        coords[:, i] = _canonical_rows(item).T
+    coords = batch.transpose(2, 0, 1)
+    if not (coords.flags.c_contiguous and coords.flags.writeable):
+        coords = coords.copy()
+    _canonical_rows(coords)
     need = {0}
     for mask in masks:
         while mask not in need:
@@ -168,8 +187,10 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
     tile = min(_PAIR_TILE, pairs)
     rows = min(b, _BLOCK_BYTES // (8 * tile))
     factors = np.empty(p * rows * tile)
-    scratch = np.empty((2, min(factors.size, _BLOCK_BYTES // 8)))
-    products = np.empty((max(map(mask_cardinality, masks)), rows * tile))
+    # Row d holds a step's products of d + 1 coordinates, and rows 0 and 1
+    # are first the pair factors' scratch, which is as wide as any product.
+    work = np.empty((max(2, max(map(mask_cardinality, masks))),
+                     min(factors.size, _BLOCK_BYTES // 8)))
     sums = np.empty((len(masks), rows))
     acc = out.T
     acc.fill(0.0)
@@ -178,9 +199,9 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
             shape = (min(rows, b - start), ta.size)
             size = shape[0] * shape[1]
             block_factors = factors[:p * size].reshape(p, *shape)
-            _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, scratch)
+            _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, work)
             _subset_product(walk, weight, block_factors, sums[:, :shape[0]],
-                            [level[:size].reshape(shape) for level in products])
+                            [level[:size].reshape(shape) for level in work])
             acc[:, start:start + shape[0]] += sums[:, :shape[0]]
     acc /= n
     return out

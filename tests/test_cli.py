@@ -363,15 +363,26 @@ class TestExitCodes:
         ["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9", "--out", "{missing}/ref.txt"],
         ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
          "--R", "19", "--out", "{missing}/p.csv"],
-    ], ids=["test-json", "null-out", "power-out"])
+        ["test", "{csv}", "--R", "49", "--null-cache", "{cache}", "--json", "{adir}"],
+        ["null", "--n", "5", "--p", "2", "--h", "2", "--R", "9", "--out", "{adir}"],
+        ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
+         "--R", "19", "--out", "{adir}"],
+    ], ids=["test-json", "null-out", "power-out", "test-json-dir", "null-out-dir",
+            "power-out-dir"])
     def test_output_in_missing_directory_refused_first(self, uniform_csv, tmp_path, capsys,
                                                        command):
-        argv = [arg.format(csv=uniform_csv, cache=tmp_path / "cache", missing=tmp_path / "no")
-                for arg in command]
+        # An existing directory as the output path used to pass this check:
+        # the command did all its work, then failed renaming its temporary
+        # file onto the directory.
+        (tmp_path / "adir").mkdir()
+        argv = [arg.format(csv=uniform_csv, cache=tmp_path / "cache", missing=tmp_path / "no",
+                           adir=tmp_path / "adir") for arg in command]
         assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {argv[-1]}: not writable (missing directory or no permission)\n")
-        assert os.listdir(tmp_path) == [uniform_csv.name]
+        reason = ("is a directory" if "{adir}" in command
+                  else "not writable (missing directory or no permission)")
+        assert capsys.readouterr() == ("", f"error: {argv[-1]}: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == ["adir", uniform_csv.name]
+        assert os.listdir(tmp_path / "adir") == []
 
 
 class TestCmdPower:
@@ -390,7 +401,11 @@ class TestCmdPower:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 3  # header + one row per mode
-        assert all(",custom," not in lines[0] for _ in [0])
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(row["table"], row["alternative"], row["param"], row["n"], row["mode"])
+                for row in rows] == [("custom", "clayton", "theta=2", "20", mode)
+                                     for mode in ("m", "s")]
 
     def test_unknown_alternative_lists_families(self, capsys):
         code = main(["power", "--alternative", "cauchy:theta=1"])

@@ -245,6 +245,26 @@ class TestWorkerCap:
             tracemalloc.stop()
         assert peak <= 3.0 * 256 * len(masks) * 8
 
+    def test_unit_holds_its_samples_once(self):
+        # One 256-sample unit at (n, p, h) = (50, 10, 3): the samples, drawn
+        # coordinate-major and sorted where they lie; p factor slabs of one
+        # 64-row block by one 512-pair tile; max(h, 2) work rows of 256 KiB,
+        # the first two of which are the pair factors' scratch; and the
+        # 256 x 175 matrix. The slack covers the per-step sums (88 KiB), the
+        # pair indices, one draw and the Python objects. With a second copy
+        # of the samples and two scratch rows of their own the peak was
+        # 6.31 MiB.
+        n, p, h, unit = 50, 10, 3, 256
+        masks = enumerate_subsets(p, h)
+        held = 8 * (p * unit * n + p * 64 * 512 + max(h, 2) * 64 * 512 + unit * len(masks))
+        tracemalloc.start()
+        try:
+            unicube.inference.null_statistic_matrix(RandomStream(1), n, p, masks, unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + 2**19
+
 
 class TestPhat:
     def test_observed_below_all(self):

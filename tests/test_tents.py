@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import unicube.inference
 from unicube import RandomStream, Sample, enumerate_subsets, tent_norm, uniform_sample
 from unicube import tents
 from unicube.tents import _norms_for_masks, all_tent_norms, null_norm_mean, pair_factor, tent_eval
@@ -305,6 +306,93 @@ class TestKernelMemory:
             assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
         finally:
             tracemalloc.stop()
+
+
+def _lexsorted(sample):
+    """Reference order: one lexsort of an (n, p) sample, first column primary."""
+    return sample[np.lexsort(sample.T[::-1])]
+
+
+def _signed_zeros():
+    batch = np.round(np.random.default_rng(4).random((6, 30, 3)), 1)
+    batch[:, ::3, 0] = 0.0
+    batch[:, 1::3, 0] = -0.0
+    return batch
+
+
+class TestCanonicalRows:
+    # Batches of (B, n, p): ties in the first coordinate only or in every
+    # coordinate, duplicated rows, and 0.0 beside -0.0, which compare equal
+    # but differ in their bits, so only a stable sort keeps their order.
+    @pytest.mark.parametrize("batch", [
+        np.random.default_rng(0).random((7, 40, 4)),
+        np.round(np.random.default_rng(1).random((7, 40, 4)), 1),
+        np.concatenate([np.round(np.random.default_rng(2).random((7, 40, 1)), 1),
+                        np.random.default_rng(3).random((7, 40, 2))], axis=2),
+        np.random.default_rng(5).random((5, 10, 3))[:, [0, 3, 3, 7, 0, 1, 3, 9, 7, 0]],
+        _signed_zeros(),
+        np.random.default_rng(6).random((9, 1, 3)),
+        np.round(np.random.default_rng(7).random((9, 30, 1)), 1),
+    ], ids=["random", "grid", "first-ties", "duplicates", "signed-zeros", "n1", "p1"])
+    def test_order_equals_one_lexsort_per_sample(self, batch):
+        coords = np.ascontiguousarray(batch.transpose(2, 0, 1))
+        tents._canonical_rows(coords)
+        expected = np.stack([_lexsorted(item) for item in batch])
+        assert coords.transpose(1, 2, 0).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class TestInPlaceRule:
+    """The kernel sorts a batch whose (p, B, n) transpose is writable and
+    C-contiguous where it lies, and copies every other batch first."""
+
+    def _sorted_arrays(self, monkeypatch):
+        seen = []
+        canonical = tents._canonical_rows
+        monkeypatch.setattr(tents, "_canonical_rows",
+                            lambda coords: seen.append(coords) or canonical(coords))
+        return seen
+
+    def test_work_unit_samples_sorted_without_a_copy(self, monkeypatch):
+        seen = self._sorted_arrays(monkeypatch)
+        batches = []
+        kernel = unicube.inference._norms_for_masks
+        monkeypatch.setattr(unicube.inference, "_norms_for_masks",
+                            lambda batch, *args, **kwargs:
+                            batches.append(batch) or kernel(batch, *args, **kwargs))
+        unicube.inference.null_statistic_matrix(RandomStream(2), 20, 3,
+                                                enumerate_subsets(3, 3), 300)
+        assert [batch.shape for batch in batches] == [(256, 20, 3), (44, 20, 3)]
+        assert len(seen) == 2
+        for batch, coords in zip(batches, seen):
+            assert coords.base is batch.base
+            assert (np.diff(coords[0], axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("make", [
+        lambda data: Sample(data).data[None],
+        lambda data: data[None].copy(),
+        lambda data: data[None, :, ::-1],
+    ], ids=["sample", "c-contiguous", "strided"])
+    def test_other_batches_come_back_unchanged(self, monkeypatch, make):
+        seen = self._sorted_arrays(monkeypatch)
+        batch = make(np.random.default_rng(8).random((30, 4)))
+        before = batch.copy()
+        _norms_for_masks(batch, enumerate_subsets(4, 2))
+        assert not np.shares_memory(seen[0], batch)
+        assert batch.view(np.int64).tolist() == before.view(np.int64).tolist()
+
+    # A C-contiguous batch at p = 1, and the (B, n, p) view of a (p, B, n)
+    # array, as a work unit draws its samples.
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.random((3, 30, 1)),
+        lambda rng: rng.random((4, 3, 30)).transpose(1, 2, 0),
+    ], ids=["p1", "coordinate-major"])
+    def test_qualifying_batch_sorted_in_place(self, make):
+        batch = make(np.random.default_rng(9))
+        masks = enumerate_subsets(batch.shape[2], 1)
+        expected = _norms_for_masks(batch.copy(), masks)
+        out = _norms_for_masks(batch, masks)
+        assert np.array_equal(batch, np.stack([_lexsorted(item) for item in batch]))
+        assert out.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestPairTiles:

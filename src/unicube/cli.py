@@ -41,25 +41,16 @@ def _read_sample(path: str, skip_header: bool) -> Sample:
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
-            if skip_header and lineno == 0:
+            tokens = line.replace(",", " ").split()
+            if not tokens or (skip_header and lineno == 0):
                 continue
-            text = line.strip()
-            if not text:
-                continue
-            row_index = len(rows) + 1
             try:
-                values = [float(tok) for tok in text.replace(",", " ").split()]
+                rows.append([float(tok) for tok in tokens])
             except ValueError:
-                raise ValueError(f"row {row_index}: cannot parse {text!r}")
-            if not values:
-                continue
-            for v in values:
-                if math.isnan(v) or not 0.0 <= v <= 1.0:
-                    raise ValueError(f"row {row_index}: value {v!r} outside [0, 1]")
-            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"row {len(rows) + 1}: cannot parse {line.strip()!r}")
+            if len(rows[-1]) != len(rows[0]):
                 raise ValueError(
-                    f"row {row_index}: {len(values)} columns, expected {len(rows[0])}")
-            rows.append(values)
+                    f"row {len(rows)}: {len(rows[-1])} columns, expected {len(rows[0])}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Sample(np.array(rows))
@@ -200,8 +191,9 @@ def cmd_diagnose(args) -> int:
     if not 3 <= args.grid_m <= 33:
         raise ValueError(f"grid-m must be in [3, 33], got {args.grid_m}")
     for flag, value, least in (("--functions", args.functions, 1), ("--pairs", args.pairs, 1),
-                               ("--sheets", args.sheets, 2), ("--draws", args.draws, 2)):
-        if value < least:
+                               ("--sheets", args.sheets, 2), ("--draws", args.draws, 2),
+                               ("--truncation", args.truncation, 1)):
+        if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
     root = RandomStream(args.seed)
     failures: list[str] = []
@@ -367,11 +359,15 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", None)
         if threads is not None and threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
-        for path in filter(None, (getattr(args, "json", None), getattr(args, "out", None))):
+        out = getattr(args, "out", None)
+        for path in filter(None, (getattr(args, "json", None), out)):
             if os.path.isdir(path):
                 raise ValueError(f"{path}: is a directory")
             if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
                 raise ValueError(f"{path}: not writable (missing directory or no permission)")
+        cache = getattr(args, "null_cache", None) or (None if out else getattr(args, "cache_dir", None))
+        if cache and os.path.exists(cache) and not os.path.isdir(cache):
+            raise ValueError(f"{cache}: not a directory")
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -66,7 +66,8 @@ class Sample:
     """An n x p matrix of observations, every entry inside [0, 1].
 
     Rows are observations, columns are coordinates. The data array is
-    validated on construction and frozen afterwards.
+    validated on construction and frozen afterwards; the first entry outside
+    [0, 1] (NaN and infinities included) is refused with its 1-based row.
     """
 
     data: np.ndarray
@@ -81,10 +82,9 @@ class Sample:
         if n < 1:
             raise ValueError("sample needs at least one observation")
         _check_family(p, 1)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample contains NaN or infinite entries")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("sample entries must lie in [0, 1]")
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both comparisons
+            bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))[0]
+            raise ValueError(f"row {bad // p + 1}: value {arr.item(bad)!r} outside [0, 1]")
         object.__setattr__(self, "data", _frozen(arr))
 
     @property

@@ -108,6 +108,18 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 1)")
 
 
+def _check_modes(modes, allowed=FINITE_MODES, hint: str = "use 'm' or 's'") -> None:
+    """Refuse an empty ``modes``, a mode outside ``allowed`` (saying ``hint``)
+    and a mode given more than once: the one check of every list of modes."""
+    if not modes:
+        raise ValueError("modes is empty; give at least one of 'm' and 's'")
+    for mode in modes:
+        if mode not in allowed:
+            raise ValueError(f"unsupported mode {mode!r}; {hint}")
+        if modes.count(mode) > 1:
+            raise ValueError(f"mode {mode!r} is given more than once")
+
+
 def _check_budget(what: str, rows: int, count: int, lower: str) -> None:
     """Refuse a (rows, count) float64 statistics matrix over the budget."""
     size = rows * count * 8
@@ -283,11 +295,7 @@ def run_tests(
     all requested modes, whose reports come in the order m, s.
     """
     _check_alpha(alpha)
-    if not modes:
-        raise ValueError("modes is empty; give at least one of 'm' and 's'")
-    unknown = [m for m in modes if m not in FINITE_MODES]
-    if unknown:
-        raise ValueError(f"unknown finite-sample mode(s) {unknown}; use 'm' or 's'")
+    _check_modes(modes)
     if sample.n != reference.n or sample.p != reference.p:
         raise ValueError(
             f"reference built for (n={reference.n}, p={reference.p}) cannot score "
@@ -325,8 +333,7 @@ def asymptotic_test(
     floored at 1/(M+1), as ``phat`` is at 1/(R+1), so the s-as sum is finite.
     ``tables[k]`` must be the table of cardinality k, for each k in 1..p.
     """
-    if mode not in ASYMPTOTIC_MODES:
-        raise ValueError(f"unknown asymptotic mode {mode!r}; use 'm-as' or 's-as'")
+    _check_modes((mode,), ASYMPTOTIC_MODES, "use 'm-as' or 's-as'")
     _check_alpha(alpha)
     p = sample.p
     bad = [k for k in range(1, p + 1) if k not in tables or tables[k].k != k]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .alternatives import _PARAMETERS, AlternativeSpec, sample_alternative
 from .core import RandomStream, enumerate_subsets, subset_count
-from .inference import (FINITE_MODES, NullReference, _check_alpha, _check_budget,
-                        _decide, _statistic_matrix, build_null_reference, phat)
+from .inference import (NullReference, _check_alpha, _check_budget, _check_modes, _decide,
+                        _statistic_matrix, build_null_reference, phat)
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,7 @@ class PowerExperiment:
         _check_alpha(self.alpha)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.modes:
-            raise ValueError("modes is empty; give at least one of 'm' and 's'")
-        for mode in self.modes:
-            if mode not in FINITE_MODES:
-                raise ValueError(f"unsupported mode {mode!r}; power studies use m and s")
-            if self.modes.count(mode) > 1:
-                raise ValueError(f"mode {mode!r} is given more than once")
+        _check_modes(self.modes, hint="power studies use m and s")
         if self.R < 1:
             raise ValueError("R must be >= 1")
         p = self.alternative.p

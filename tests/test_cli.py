@@ -68,6 +68,19 @@ class TestCmdTest:
         assert code == 2
         assert "row 3" in err
 
+    @pytest.mark.parametrize("value", ["nan", "1.5"])
+    @pytest.mark.parametrize("header", [None, "x,y"], ids=["plain", "header"])
+    def test_out_of_range_names_row_and_value(self, tmp_path, capsys, header, value):
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(f"{line}\n" for line in (
+            header, "0.5,0.5", f"0.1,{value}", "0.2,1.5") if line is not None))
+        code = main(["test", str(path), *(["--header"] if header else []),
+                     "--null-cache", str(tmp_path / "cache")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: row 2: value {float(value)!r} "
+                                           f"outside [0, 1]\n")
+        assert not (tmp_path / "cache").exists()
+
     def test_header_flag(self, tmp_path):
         path = tmp_path / "hdr.csv"
         data = uniform_sample(RandomStream(8), 30, 2).data
@@ -384,6 +397,34 @@ class TestExitCodes:
         assert sorted(os.listdir(tmp_path)) == ["adir", uniform_csv.name]
         assert os.listdir(tmp_path / "adir") == []
 
+    @pytest.mark.parametrize("command", [
+        ["test", "{csv}", "--R", "49", "--null-cache", "{notadir}"],
+        ["test", "{csv}", "--mode", "m-as", "--asym-draws", "500", "--null-cache", "{notadir}"],
+        ["test", "{csv}", "--R", "49"],
+        ["null", "--n", "50", "--p", "2", "--h", "2", "--R", "49", "--cache-dir", "{notadir}"],
+        ["null", "--n", "50", "--p", "2", "--h", "2", "--R", "49"],
+    ], ids=["test", "test-m-as", "test-env", "null", "null-env"])
+    def test_cache_path_not_a_directory_refused_first(self, uniform_csv, tmp_path, capsys,
+                                                      monkeypatch, command):
+        # A regular file as the cache directory used to fail only when the
+        # built reference or table was saved, after all the work.
+        notadir = tmp_path / "notadir"
+        notadir.write_text("kept\n")
+        monkeypatch.setenv("UNICUBE_CACHE", str(notadir))
+        assert main([arg.format(csv=uniform_csv, notadir=notadir) for arg in command]) == 2
+        assert capsys.readouterr() == ("", f"error: {notadir}: not a directory\n")
+        assert notadir.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["notadir", uniform_csv.name]
+
+    def test_out_overrides_a_cache_path_that_is_not_a_directory(self, tmp_path, capsys):
+        notadir = tmp_path / "notadir"
+        notadir.write_text("kept\n")
+        out = tmp_path / "ref.txt"
+        assert main(["null", "--n", "5", "--p", "1", "--h", "1", "--R", "9",
+                     "--cache-dir", str(notadir), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert notadir.read_text() == "kept\n"
+
 
 class TestCmdPower:
     def test_copulas_dry_run_row_count(self, capsys):
@@ -463,7 +504,8 @@ class TestCmdDiagnose:
 
     @pytest.mark.parametrize("flag,value,least", [
         ("--sheets", 0, 2), ("--sheets", 1, 2), ("--draws", 1, 2),
-        ("--pairs", 0, 1), ("--functions", 0, 1),
+        ("--pairs", 0, 1), ("--functions", 0, 1), ("--truncation", 0, 1),
+        ("--truncation", -3, 1),
     ])
     def test_counts_that_check_nothing_refused(self, capsys, flag, value, least):
         assert main(["diagnose", flag, str(value)]) == 2

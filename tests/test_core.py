@@ -74,6 +74,18 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample([[0.5, float("nan")]])
 
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_refusal_names_first_row_and_value(self, value):
+        # The first entry in row order is named, 1-based, as a Python float.
+        data = np.full((5, 3), 0.5)
+        data[2, 1] = value
+        data[4, 0] = 2.0
+        with pytest.raises(ValueError, match=re.escape(f"row 3: value {value!r} outside [0, 1]")):
+            Sample(data)
+
+    def test_negative_zero_accepted(self):
+        assert Sample([[-0.0, 1.0]]).data.tolist() == [[0.0, 1.0]]
+
     def test_rejects_empty_and_high_dimension(self):
         with pytest.raises(ValueError):
             Sample(np.empty((0, 2)))

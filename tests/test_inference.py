@@ -400,6 +400,17 @@ class TestRunTests:
             assert type(report.aggregate) is float and type(report.reject) is bool
             assert type(report.threshold) is float
 
+    @pytest.mark.parametrize("modes,message", [
+        (("m", "m"), "mode 'm' is given more than once"),
+        (("s", "m", "s"), "mode 's' is given more than once"),
+        (("m", "x"), "unsupported mode 'x'; use 'm' or 's'"),
+        (("m-as",), "unsupported mode 'm-as'; use 'm' or 's'"),
+    ])
+    def test_mode_list_refused(self, small_reference, modes, message):
+        sample = uniform_sample(RandomStream(8), 25, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_tests(sample, small_reference, 0.05, modes=modes)
+
     def test_empty_modes_refused(self, small_reference):
         sample = uniform_sample(RandomStream(8), 25, 2)
         with pytest.raises(ValueError, match="modes is empty"):
@@ -415,6 +426,13 @@ class TestRunTests:
 
 
 class TestAsymptoticTest:
+    @pytest.mark.parametrize("mode", ["m", "s", "both", ""])
+    def test_other_mode_refused(self, tables, mode):
+        sample = uniform_sample(RandomStream(10), 40, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unsupported mode {mode!r}; use 'm-as' or 's-as'")):
+            asymptotic_test(sample, tables, 0.05, mode=mode)
+
     def test_thresholds_match_finite_formulas(self, tables):
         sample = uniform_sample(RandomStream(10), 40, 2)
         m_report = asymptotic_test(sample, tables, 0.05, mode="m-as")

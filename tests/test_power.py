@@ -13,7 +13,7 @@ import unicube.inference
 import unicube.power
 import unicube.special
 from unicube import (AlternativeSpec, PowerExperiment, RandomStream, build_null_reference,
-                     estimate_power, run_tests)
+                     estimate_power, run_tests, uniform_sample)
 from unicube.alternatives import sample_alternative
 from unicube.power import CSV_HEADER, rows_to_csv, run_single, run_table
 
@@ -91,6 +91,21 @@ class TestEstimatePower:
     def test_repeated_mode_rejected_at_construction(self, modes):
         with pytest.raises(ValueError, match="given more than once"):
             PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5, modes=modes)
+
+    @pytest.mark.parametrize("modes", [(), ("m", "m"), ("s", "x"), ("m", "s", "m")])
+    def test_modes_refused_as_run_tests_refuses_them(self, modes):
+        # A power cell and a single test refuse the same mode lists with the
+        # same message, apart from the hint after an unsupported mode.
+        reference = build_null_reference(RandomStream(1), 10, 2, 2, 9)
+        sample = uniform_sample(RandomStream(2), 10, 2)
+        messages = []
+        for call in (lambda: PowerExperiment(AlternativeSpec("uniform", p=2), n=10, trials=5,
+                                             modes=modes),
+                     lambda: run_tests(sample, reference, 0.05, modes=modes)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            messages.append(str(caught.value).split(";")[0])
+        assert messages[0] == messages[1]
 
     def test_rejection_counts_pinned(self):
         # One small cell of the published grid, pinned end to end: sampling,

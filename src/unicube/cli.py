@@ -11,6 +11,7 @@ produce identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -266,7 +267,11 @@ def cmd_diagnose(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process at its first use.
+    Parsing leaves it unchanged, and no default depends on the environment:
+    ``main`` reads ``UNICUBE_CACHE`` at each call."""
     parser = argparse.ArgumentParser(
         prog="unicube",
         description="Uniformity tests on the unit hypercube with Monte Carlo calibration.")
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "m, s and both only)")
     t.add_argument("--alpha", type=float, default=0.05, help="significance level")
     t.add_argument("--seed", type=int, default=1, help="seed for the null reference")
-    t.add_argument("--null-cache", default=os.environ.get(CACHE_ENV), metavar="DIR",
+    t.add_argument("--null-cache", default=None, metavar="DIR",
                    help=f"cache directory (default: ${CACHE_ENV})")
     t.add_argument("--json", default=None, metavar="FILE",
                    help="also write reports as JSON lines")
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--h", type=int, required=True, help="max subset cardinality")
     n.add_argument("--R", type=int, required=True, help="number of null replicates")
     n.add_argument("--seed", type=int, default=1)
-    n.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV), metavar="DIR",
+    n.add_argument("--cache-dir", default=None, metavar="DIR",
                    help=f"target directory (default: ${CACHE_ENV} or .)")
     n.add_argument("--out", default=None, metavar="FILE",
                    help="explicit output path (overrides --cache-dir)")
@@ -352,22 +357,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str, directory: bool) -> None:
+    """Refuse, before any work, a path that the command would write (a
+    directory when ``directory`` is set, else a file) and could not: the path
+    or its nearest existing ancestor is of the wrong kind, or a file's
+    directory is missing or not writable."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing == path:
+        if os.path.isdir(path) != directory:
+            raise ValueError(f"{path}: {'not' if directory else 'is'} a directory")
+    elif not os.path.isdir(existing or "."):
+        raise ValueError(f"{path}: {existing} is not a directory")
+    target = path if existing == path else os.path.dirname(path) or "."
+    if not directory and not os.access(target, os.W_OK):
+        raise ValueError(f"{path}: not writable (missing directory or no permission)")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name in ("null_cache", "cache_dir"):
+        if getattr(args, name, "") is None:
+            setattr(args, name, os.environ.get(CACHE_ENV))
     try:
         threads = getattr(args, "threads", None)
         if threads is not None and threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
         out = getattr(args, "out", None)
         for path in filter(None, (getattr(args, "json", None), out)):
-            if os.path.isdir(path):
-                raise ValueError(f"{path}: is a directory")
-            if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
-                raise ValueError(f"{path}: not writable (missing directory or no permission)")
+            _check_writable(path, directory=False)
         cache = getattr(args, "null_cache", None) or (None if out else getattr(args, "cache_dir", None))
-        if cache and os.path.exists(cache) and not os.path.isdir(cache):
-            raise ValueError(f"{cache}: not a directory")
+        if cache:
+            _check_writable(cache, directory=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -9,7 +9,8 @@ with the pair factor f(u, v) = (u^2 + v^2)/2 - max(u, v) + 1/3, which is the
 integral over [0,1] of (1{u<=t} - t)(1{v<=t} - t). The double sum is computed
 over pairs a <= b only (off-diagonal terms doubled), in fixed tiles of pairs,
 and a batch of samples is scored in blocks of rows, so that one block's
-products over one tile stay cache-sized. Within a tile one loop builds the
+products over one step stay cache-sized: one tile, or several full tiles
+when the batch has fewer rows than a block. Within a step one loop builds the
 products in ascending mask order, which is depth first, each from the
 product of the subset minus its lowest bit, so a whole family of subsets
 costs barely more than a single one and only one product per cardinality is
@@ -19,8 +20,8 @@ holds them once. The work arrays (the block's pair factors, one product per
 depth, the first two of which are the pair factors' scratch, and the
 block's sums) are allocated once per call and every step writes into them,
 and the pair indices are built a fixed number of pairs at a time from O(n)
-row ends. So the pairwise arrays are bounded by one row block times one
-tile and the indices by a constant, not by the batch, n^2 or the number of
+row bounds. So the pairwise arrays are bounded by one full block of pairs
+and the indices by a constant, not by the batch, n^2 or the number of
 subsets. Only the samples and the (batch, subsets) result, which the caller
 may supply, grow with the batch, and the result and the block's sums with
 the number of subsets.
@@ -38,12 +39,13 @@ from .core import Sample, enumerate_subsets, mask_cardinality
 _PAIR_TILE = 512
 #: Bytes of one (rows, pairs) product: the kernel takes as many rows per
 #: block as fit, 64 at a full tile and more when n is small enough that the
-#: single tile is short. Rows are reduced one by one, so this moves no bit.
+#: single tile is short, and a batch of fewer rows takes as many full tiles
+#: per step as fit. Each (row, tile) is reduced on its own, so this moves no bit.
 #: Half this size makes each numpy call so short that two scoring threads
 #: spend their time handing the interpreter lock to each other. Pair factors
 #: are computed in slabs of as many coordinates as fit in this size: one at
-#: a full block, so that each operand stays in L2, and all p for a single
-#: sample, so that its call makes no more numpy calls than one slab.
+#: a full block, so that each operand stays in L2, and all p for a small
+#: sample's single tiles, so that its call makes no more numpy calls than one slab.
 _BLOCK_BYTES = 8 * 64 * _PAIR_TILE
 
 
@@ -83,10 +85,11 @@ def _pair_factors(block: np.ndarray, ta: np.ndarray, tb: np.ndarray,
 
 def _subset_product(walk: list[tuple[int, int, int | None]], weight: np.ndarray,
                     factors: np.ndarray, sums: np.ndarray, levels: list[np.ndarray]) -> None:
-    """One (row block, tile) step: for each ``(depth, j, column)`` of ``walk``,
+    """One (row block, tiles) step: for each ``(depth, j, column)`` of ``walk``,
     product(H | 1<<j) = product(H) * factor(j) into ``levels[depth]``, with H
     the last subset of ``depth`` elements (the pair weight at depth 0). A
-    requested mask writes the per-row sum of its product into ``sums[column]``."""
+    requested mask writes the sum of its product per row and tile into
+    ``sums[column]``."""
     for depth, j, column in walk:
         np.multiply(levels[depth - 1] if depth else weight, factors[j], out=levels[depth])
         if column is not None:
@@ -113,27 +116,37 @@ def _canonical_rows(coords: np.ndarray) -> None:
         item[:] = item[:, np.lexsort(item[::-1])]
 
 
-def _pair_tiles(n: int):
-    """The pairs a <= b of n rows in row-major order, as ``(a, b, weight)``
-    per tile of ``_PAIR_TILE`` pairs, the weight 1 on the diagonal and 2 off it.
+def _pair_tiles(n: int, tiles: int = 1):
+    """The pairs a <= b of n rows in row-major order, as ``(a, b, weight)`` per
+    step of up to ``tiles`` full tiles of ``_PAIR_TILE`` pairs, the partial
+    last tile alone; the weight is 1 on the diagonal and 2 off it.
 
-    With ends[a] the index just past row a's last pair, pair k lies in row
-    a, the number of row ends at or before k, and is (a, k - ends[a] + n).
-    The indices are built from the n row ends for ``_BLOCK_BYTES // 8``
-    pairs (64 tiles) at a time, so they take a fixed size however large n is.
+    With starts[a] the index of row a's first pair and ends[a] the index
+    just past its last, pair k lies in row a, the number of row ends at or
+    before k, and is (a, k - ends[a] + n), and row a holds
+    min(ends[a], hi) - max(starts[a], lo) of the pairs [lo, hi). The indices
+    are built from these O(n) row bounds for a whole number of steps,
+    at most ``_BLOCK_BYTES // 8`` pairs (64 tiles), at a time, so they take a
+    fixed size however large n is.
     """
-    ends = np.cumsum(np.arange(n, 0, -1))
+    lengths = np.arange(n, 0, -1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
     pairs = int(ends[-1])
-    for lo in range(0, pairs, _BLOCK_BYTES // 8):
-        hi = min(lo + _BLOCK_BYTES // 8, pairs)
+    full = pairs - pairs % _PAIR_TILE
+    step = tiles * _PAIR_TILE
+    chunk = _BLOCK_BYTES // 8 // step * step
+    for lo in range(0, pairs, chunk):
+        hi = min(lo + chunk, pairs)
         first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
-        ta = np.repeat(np.arange(first, last + 1),
-                       np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo))
+        ta = np.repeat(np.arange(first, last + 1), np.minimum(ends[first:last + 1], hi)
+                       - np.maximum(starts[first:last + 1], lo))
         tb = np.arange(lo, hi) - ends[ta] + n
         weight = np.where(ta == tb, 1.0, 2.0)
-        for start in range(0, hi - lo, _PAIR_TILE):
-            yield (ta[start:start + _PAIR_TILE], tb[start:start + _PAIR_TILE],
-                   weight[start:start + _PAIR_TILE])
+        cuts = [*range(0, min(hi, full) - lo, step), min(hi, full) - lo, hi - lo]
+        for start, stop in zip(cuts, cuts[1:]):
+            if stop > start:
+                yield ta[start:stop], tb[start:stop], weight[start:stop]
 
 
 def _norms_for_masks(batch: np.ndarray, masks: list[int],
@@ -150,13 +163,15 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
     transposed view, and ``out`` is returned; by default it is allocated.
 
     Pairs a <= b are taken in tiles of ``_PAIR_TILE``, and the batch in
-    blocks of rows whose products fit in ``_BLOCK_BYTES``. The pair weight (1
-    on the diagonal, 2 off it, so exact) is the product of the empty subset
-    and every product is C-contiguous, so each row is reduced by the same
-    per-row sums, added tile by tile in tile order, whatever the batch size.
-    Each (block, tile) step is one loop over the masks and their lowest-bit
-    ancestors in ascending order, into work arrays allocated once per call,
-    sized for the largest step and viewed C-contiguous at each step's shape.
+    blocks of rows whose products fit in ``_BLOCK_BYTES``; a batch of fewer
+    rows than a block takes as many full tiles per step as then fit, and
+    the partial last tile alone. The pair weight (1 on the diagonal, 2 off
+    it, so exact) is the product of the empty subset and every product is
+    C-contiguous, so each (row, tile) is reduced by the same per-row sum,
+    added into its row in tile order, whatever the batch size. Each (block,
+    tiles) step is one loop over the masks and their lowest-bit ancestors in
+    ascending order, into work arrays allocated once per call, sized for the
+    largest step and viewed C-contiguous at each step's shape.
     """
     columns = {}
     for col, mask in enumerate(masks):
@@ -186,23 +201,29 @@ def _norms_for_masks(batch: np.ndarray, masks: list[int],
     pairs = n * (n + 1) // 2
     tile = min(_PAIR_TILE, pairs)
     rows = min(b, _BLOCK_BYTES // (8 * tile))
-    factors = np.empty(p * rows * tile)
+    # A batch of fewer rows than a block fills it with more full tiles.
+    tiles = max(1, min(_BLOCK_BYTES // (8 * rows * tile), pairs // _PAIR_TILE))
+    factors = np.empty(p * rows * tiles * tile)
     # Row d holds a step's products of d + 1 coordinates, and rows 0 and 1
     # are first the pair factors' scratch, which is as wide as any product.
     work = np.empty((max(2, max(map(mask_cardinality, masks))),
                      min(factors.size, _BLOCK_BYTES // 8)))
-    sums = np.empty((len(masks), rows))
+    sums = np.empty(len(masks) * rows * tiles)
     acc = out.T
     acc.fill(0.0)
-    for ta, tb, weight in _pair_tiles(n):
+    for ta, tb, weight in _pair_tiles(n, tiles):
+        # (tiles of this step, pairs per tile): a partial tile is a step alone.
+        weight = weight.reshape(-1, min(tile, ta.size))
         for start in range(0, b, rows):
-            shape = (min(rows, b - start), ta.size)
-            size = shape[0] * shape[1]
-            block_factors = factors[:p * size].reshape(p, *shape)
+            shape = (min(rows, b - start), *weight.shape)
+            size = shape[0] * ta.size
+            block_factors = factors[:p * size].reshape(p, shape[0], ta.size)
             _pair_factors(coords[:, start:start + shape[0]], ta, tb, block_factors, work)
-            _subset_product(walk, weight, block_factors, sums[:, :shape[0]],
+            step_sums = sums[:len(masks) * shape[0] * shape[1]].reshape(len(masks), *shape[:2])
+            _subset_product(walk, weight, block_factors.reshape(p, *shape), step_sums,
                             [level[:size].reshape(shape) for level in work])
-            acc[:, start:start + shape[0]] += sums[:, :shape[0]]
+            for tile_sums in step_sums.transpose(2, 0, 1):
+                acc[:, start:start + shape[0]] += tile_sums
     acc /= n
     return out
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, cache files, CSV output, diagnostics."""
 
+import argparse
 import collections
 import contextlib
 import hashlib
@@ -380,22 +381,32 @@ class TestExitCodes:
         ["null", "--n", "5", "--p", "2", "--h", "2", "--R", "9", "--out", "{adir}"],
         ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
          "--R", "19", "--out", "{adir}"],
+        ["test", "{csv}", "--R", "49", "--null-cache", "{cache}", "--json", "{afile}/r.json"],
+        ["null", "--n", "50", "--p", "6", "--h", "6", "--R", "99", "--out", "{afile}/z.txt"],
+        ["power", "--alternative", "clayton:theta=2", "--n", "10", "--trials", "4",
+         "--R", "19", "--out", "{afile}/p.csv"],
     ], ids=["test-json", "null-out", "power-out", "test-json-dir", "null-out-dir",
-            "power-out-dir"])
+            "power-out-dir", "test-json-below-file", "null-out-below-file",
+            "power-out-below-file"])
     def test_output_in_missing_directory_refused_first(self, uniform_csv, tmp_path, capsys,
                                                        command):
         # An existing directory as the output path used to pass this check:
         # the command did all its work, then failed renaming its temporary
-        # file onto the directory.
+        # file onto the directory. A path below a regular file passed it too,
+        # the file being writable.
         (tmp_path / "adir").mkdir()
+        afile = tmp_path / "afile"
+        afile.write_text("")
         argv = [arg.format(csv=uniform_csv, cache=tmp_path / "cache", missing=tmp_path / "no",
-                           adir=tmp_path / "adir") for arg in command]
+                           adir=tmp_path / "adir", afile=afile) for arg in command]
         assert main(argv) == 2
         reason = ("is a directory" if "{adir}" in command
+                  else f"{afile} is not a directory" if "afile" in command[-1]
                   else "not writable (missing directory or no permission)")
         assert capsys.readouterr() == ("", f"error: {argv[-1]}: {reason}\n")
-        assert sorted(os.listdir(tmp_path)) == ["adir", uniform_csv.name]
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile", uniform_csv.name]
         assert os.listdir(tmp_path / "adir") == []
+        assert afile.read_text() == ""
 
     @pytest.mark.parametrize("command", [
         ["test", "{csv}", "--R", "49", "--null-cache", "{notadir}"],
@@ -403,16 +414,26 @@ class TestExitCodes:
         ["test", "{csv}", "--R", "49"],
         ["null", "--n", "50", "--p", "2", "--h", "2", "--R", "49", "--cache-dir", "{notadir}"],
         ["null", "--n", "50", "--p", "2", "--h", "2", "--R", "49"],
-    ], ids=["test", "test-m-as", "test-env", "null", "null-env"])
+        ["test", "{csv}", "--R", "49", "--null-cache", "{notadir}/sub"],
+        ["test", "{csv}", "--mode", "m-as", "--asym-draws", "500", "--null-cache",
+         "{notadir}/sub/deeper"],
+        ["null", "--n", "50", "--p", "2", "--h", "2", "--R", "49", "--cache-dir",
+         "{notadir}/sub"],
+    ], ids=["test", "test-m-as", "test-env", "null", "null-env", "test-below-file",
+            "test-m-as-below-file", "null-below-file"])
     def test_cache_path_not_a_directory_refused_first(self, uniform_csv, tmp_path, capsys,
                                                       monkeypatch, command):
-        # A regular file as the cache directory used to fail only when the
-        # built reference or table was saved, after all the work.
+        # A regular file as the cache directory, or as one of its ancestors,
+        # used to fail only when the built reference or table was saved,
+        # after all the work.
         notadir = tmp_path / "notadir"
         notadir.write_text("kept\n")
         monkeypatch.setenv("UNICUBE_CACHE", str(notadir))
-        assert main([arg.format(csv=uniform_csv, notadir=notadir) for arg in command]) == 2
-        assert capsys.readouterr() == ("", f"error: {notadir}: not a directory\n")
+        argv = [arg.format(csv=uniform_csv, notadir=notadir) for arg in command]
+        assert main(argv) == 2
+        message = (f"{argv[-1]}: {notadir} is not a directory"
+                   if command[-1].startswith("{notadir}/") else f"{notadir}: not a directory")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert notadir.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["notadir", uniform_csv.name]
 
@@ -548,6 +569,75 @@ class TestHelp:
 
 def _sha(data):
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+class TestParserOnce:
+    """``main`` parses with one parser per process and reads ``UNICUBE_CACHE``
+    at each call."""
+
+    def test_second_call_builds_no_parser(self, uniform_csv, tmp_path, capsys, monkeypatch):
+        argv = ["test", str(uniform_csv), "--R", "19", "--null-cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(args)
+                            or init(self, *args, **kwargs))
+        assert main(argv) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("command,unset", [
+        (["test", "{csv}", "--R", "19"], []),
+        (["null", "--n", "50", "--p", "2", "--h", "2", "--R", "19"],
+         ["null_n50_p2_h2_R19_s1.v2.txt"]),
+    ], ids=["test", "null"])
+    def test_env_read_at_each_call(self, uniform_csv, tmp_path, capsys, monkeypatch,
+                                   command, unset):
+        # With UNICUBE_CACHE set, then changed, then unset, each call writes
+        # where the environment points at that moment (nowhere for test, the
+        # working directory for null); an explicit flag still wins.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [arg.format(csv=uniform_csv) for arg in command]
+        flag = "--null-cache" if command[0] == "test" else "--cache-dir"
+        written = {}
+        for env, extra in (("first", []), ("second", []), (None, []),
+                           ("second", [flag, str(tmp_path / "flag")])):
+            if env is None:
+                monkeypatch.delenv("UNICUBE_CACHE", raising=False)
+            else:
+                monkeypatch.setenv("UNICUBE_CACHE", str(tmp_path / env))
+            assert main(argv + extra) == 0
+            capsys.readouterr()
+            written[env, bool(extra)] = {
+                name: sorted(os.listdir(tmp_path / name)) for name in
+                ("first", "second", "work", "flag") if (tmp_path / name).exists()}
+        name = "null_n50_p2_h2_R19_s1.v2.txt"
+        assert written == {
+            ("first", False): {"first": [name], "work": []},
+            ("second", False): {"first": [name], "second": [name], "work": []},
+            (None, False): {"first": [name], "second": [name], "work": unset},
+            ("second", True): {"first": [name], "second": [name], "work": unset,
+                               "flag": [name]},
+        }
+
+    # sha256 of the help text at 80 columns, which caching the parser must
+    # leave unchanged.
+    @pytest.mark.parametrize("command,digest", [
+        ([], "010f287a93f420da4cabd11fb23d3a34248bd38c84a41e89f321b1ceae85bef9"),
+        (["test"], "264085d22a86522c338d7afc80ecdacabfd4bdeaeada8d5928fcd603246d8c0e"),
+        (["null"], "47dee54543e4cf808cc459c5f5152bcc7768e7d7689651f32cfb608aebb75fc3"),
+        (["power"], "1e4e8328df35077692855c051c4745440d8085e22135312639a94ad668000ad1"),
+        (["diagnose"], "8f5023d0c0df7fd48e75ddeacc3ac7beff650b167bcd6fa252053a136af9c629"),
+    ], ids=["unicube", "test", "null", "power", "diagnose"])
+    def test_help_pinned(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("UNICUBE_CACHE", "/elsewhere")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        assert _sha(capsys.readouterr().out) == digest
 
 
 @pytest.fixture

@@ -191,6 +191,30 @@ class TestRowBlocks:
         assert singles.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
 
 
+class TestSingleSample:
+    # A batch of fewer rows than a block is scored several full tiles per
+    # step. Pair counts k*512 - 1 (n=90), k*512 + 1 (n=1022) and k*512
+    # (n=1023); n=256 and n=300 have more pairs than one index chunk of 64
+    # tiles; n=1 has one pair; "grid" is a one-decimal grid, with ties in
+    # every coordinate. Rows 0, 63, 64 and 299 of the 300 lie in the first
+    # and the second row block of a batched call and at its end.
+    @pytest.mark.parametrize("n,p", [(1, 3), (90, 3), (256, 3), (300, 3), (1022, 1),
+                                     (1023, 1), ("grid", 4)])
+    def test_single_equals_its_row_in_a_batch(self, n, p):
+        rng = np.random.default_rng(7)
+        batch = (np.round(rng.random((300, 50, p)), 1) if n == "grid"
+                 else rng.random((300, n, p)))
+        masks = enumerate_subsets(p, p)
+        whole = _norms_for_masks(batch.copy(), masks)
+        for row in (0, 63, 64, 299):
+            single = _norms_for_masks(batch[row:row + 1].copy(), masks)[0]
+            pair = _norms_for_masks(batch[[row, (row + 1) % 300]], masks)
+            for got in (pair[0], whole[row]):
+                assert got.view(np.uint64).tolist() == single.view(np.uint64).tolist()
+            assert pair[1].view(np.uint64).tolist() == whole[(row + 1) % 300].view(
+                np.uint64).tolist()
+
+
 def _walk_case(case):
     """Batch and masks of a walk pin. A (B, n, p, h) case scores the full
     family to h; "sparse" six p=9 masks in no order, not closed under taking
@@ -221,10 +245,12 @@ class TestSubsetWalk:
         out = _norms_for_masks(*_walk_case(case))
         assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest
 
-    # n=50 has 1,275 pairs, three tiles; 300 rows are five row blocks. The
-    # walk makes one call per (block, tile) step, not one per subset (192
-    # and 960 calls for these 63 subsets).
-    @pytest.mark.parametrize("b,calls", [(1, 3), (300, 15)])
+    # n=50 has 1,275 pairs, two full tiles and one of 251 pairs; 300 rows
+    # are five row blocks, each scored one tile at a time, and a single
+    # sample fills its block with both full tiles, then takes the partial
+    # one. The walk makes one call per step, not one per subset (192 and 960
+    # calls for these 63 subsets).
+    @pytest.mark.parametrize("b,calls", [(1, 2), (300, 15)])
     def test_one_call_per_step(self, monkeypatch, b, calls):
         made = []
         product = tents._subset_product
@@ -407,6 +433,19 @@ class TestPairTiles:
         assert np.concatenate([tb for _, tb, _ in tiles]).tolist() == ib.tolist()
         weights = np.concatenate([weight for _, _, weight in tiles])
         assert weights.tolist() == np.where(ia == ib, 1.0, 2.0).tolist()
+
+    @pytest.mark.parametrize("tiles", [2, 3, 21, 64])
+    @pytest.mark.parametrize("n", [1, 31, 90, 256, 300, 1023])
+    def test_steps_group_full_tiles(self, n, tiles):
+        # Consecutive groups of `tiles` full tiles, then the partial tile alone.
+        steps = list(tents._pair_tiles(n, tiles))
+        ia, ib = np.triu_indices(n)
+        full, rest = divmod(ia.size, tents._PAIR_TILE)
+        assert [ta.size for ta, _, _ in steps] == [
+            min(tiles, full - k) * tents._PAIR_TILE for k in range(0, full, tiles)
+        ] + ([rest] if rest else [])
+        assert np.concatenate([ta for ta, _, _ in steps]).tolist() == ia.tolist()
+        assert np.concatenate([tb for _, tb, _ in steps]).tolist() == ib.tolist()
 
 
 class TestTentEval:

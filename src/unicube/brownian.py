@@ -237,12 +237,12 @@ def asymptotic_norm_draws(
     return AsymptoticNormTable(k=k, draws=out, nu_max=nu, seed=stream.seed)
 
 
-def asymptotic_cdf(table: AsymptoticNormTable, x: float) -> float:
-    """Empirical c.d.f. of the table draws: fraction of draws <= x."""
+def asymptotic_cdf(table: AsymptoticNormTable, x):
+    """Empirical c.d.f. of the table draws: fraction of draws <= x, elementwise."""
     m = table.draws.shape[0]
     if m == 0:
         raise ValueError("table is empty")
-    return float(np.searchsorted(table.draws, x, side="right")) / m
+    return np.searchsorted(table.draws, x, side="right") / m
 
 
 def truncated_tent_kernel(s: float, t: float, nu_max: int) -> float:

@@ -9,6 +9,7 @@ empty mask ``0`` is legal only where explicitly stated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -106,6 +107,8 @@ def mask_cardinality(mask: int) -> int:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """0-based coordinate indices in the subset, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask must be >= 0, got {mask}")
     out = []
     j = 0
     while mask:
@@ -116,8 +119,10 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def mask_label(mask: int) -> str:
-    """Human-readable label, 1-based coordinates, e.g. ``{1,3}``."""
+    """Human-readable label, 1-based coordinates, e.g. ``{1,3}``; built once per
+    mask, as a report labels every subset of its family."""
     return "{" + ",".join(str(j + 1) for j in mask_members(mask)) + "}"
 
 

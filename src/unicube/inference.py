@@ -27,6 +27,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -210,18 +211,31 @@ def build_null_reference(
     return NullReference(n=n, p=p, h=h, R=R, seed=stream.seed, norms=norms)
 
 
-def phat(reference: NullReference, mask: int, observed):
-    """Monte Carlo p-value estimate (#{null > observed} + 1) / (R + 1).
+def phat(reference: NullReference, masks: list[int], block: np.ndarray) -> np.ndarray:
+    """Monte Carlo p-values (#{null > x} + 1) / (R + 1), ties not counted, written
+    over a (rows, len(masks)) float64 block of statistics x, column i of ``masks[i]``."""
+    if getattr(block, "dtype", None) != np.float64 or np.shape(block)[1:] != (len(masks),):
+        raise ValueError(f"statistics must be a 2-d float64 block of {len(masks)} columns")
+    missing = [mask for mask in masks if mask not in reference.norms]
+    if missing:
+        raise ValueError(f"subset {missing[0]:#x} not present in the reference")
+    for i, mask in enumerate(masks):
+        block[:, i] = reference.norms[mask].searchsorted(block[:, i], side="right")
+    np.subtract(reference.R + 1, block, out=block)
+    block /= reference.R + 1
+    return block
 
-    Strictly greater: ties between the observed value and null draws do not
-    count. An array of observed values gives an array of p-values.
-    """
-    vec = reference.norms.get(mask)
-    if vec is None:
-        raise ValueError(f"subset {mask:#x} not present in the reference")
-    greater = reference.R - np.searchsorted(vec, observed, side="right")
-    pvals = (greater + 1) / (reference.R + 1)
-    return float(pvals) if np.ndim(pvals) == 0 else pvals
+
+def _table_pvalues(tables: dict[int, AsymptoticNormTable], masks: list[int],
+                   block: np.ndarray) -> np.ndarray:
+    """Limiting-law p-values written over a block, as by ``phat``: one minus the
+    empirical c.d.f. of the table of M draws of the column's cardinality, floored
+    at 1/(M+1), as ``phat`` is at 1/(R+1), so that the s-as sum is finite."""
+    sizes = np.array([mask.bit_count() for mask in masks])
+    for k in np.unique(sizes).tolist():
+        columns, floor = sizes == k, 1.0 / (tables[k].draws.shape[0] + 1)
+        block[:, columns] = np.maximum(1.0 - asymptotic_cdf(tables[k], block[:, columns]), floor)
+    return block
 
 
 def _minp_threshold(alpha: float, family_size: int) -> float:
@@ -265,14 +279,14 @@ def _decide(mode: str, block: np.ndarray, alpha: float):
     return aggregate, threshold, reject
 
 
-def _reports(sample: Sample, h: int, pvalue, modes, alpha: float, R: int,
+def _reports(sample: Sample, h: int, pvalues, modes, alpha: float, R: int,
              seed: int) -> dict[str, TestReport]:
     """One report per mode of ``modes``: the statistics of ``sample`` up to
-    cardinality h, scored once, their p-values ``pvalue(mask, statistic)`` and
-    each mode's decision on those as a one-row block, as a power cell decides."""
+    cardinality h, scored once, their p-values ``pvalues(masks, block)`` as a
+    one-row block and each mode's decision on that block, as a power cell decides."""
     stats = all_tent_norms(sample, h)
-    pvals = {mask: pvalue(mask, stat) for mask, stat in stats.items()}
-    block = np.array([list(pvals.values())])
+    block = pvalues(list(stats), np.array([list(stats.values())]))
+    pvals = dict(zip(stats, block[0].tolist()))
     reports: dict[str, TestReport] = {}
     for mode in modes:
         aggregate, threshold, reject = _decide(mode, block, alpha)
@@ -300,7 +314,7 @@ def run_tests(
         raise ValueError(
             f"reference built for (n={reference.n}, p={reference.p}) cannot score "
             f"a sample with (n={sample.n}, p={sample.p})")
-    return _reports(sample, reference.h, lambda mask, stat: phat(reference, mask, stat),
+    return _reports(sample, reference.h, partial(phat, reference),
                     [m for m in FINITE_MODES if m in modes], alpha, reference.R,
                     reference.seed)
 
@@ -328,9 +342,7 @@ def asymptotic_test(
 ) -> TestReport:
     """Large-sample rule using the simulated limiting-norm tables.
 
-    Always runs the full family of 2^p - 1 subsets. A p-value is one minus the
-    empirical c.d.f. of the cardinality's table of M draws at the statistic,
-    floored at 1/(M+1), as ``phat`` is at 1/(R+1), so the s-as sum is finite.
+    Always runs the full family of 2^p - 1 subsets, p-values by ``_table_pvalues``.
     ``tables[k]`` must be the table of cardinality k, for each k in 1..p.
     """
     _check_modes((mode,), ASYMPTOTIC_MODES, "use 'm-as' or 's-as'")
@@ -340,10 +352,8 @@ def asymptotic_test(
     if bad:
         raise ValueError(f"limiting-norm tables missing or filed under another cardinality "
                          f"at keys {bad}; key k must hold the table of cardinality k")
-    return _reports(sample, p, lambda mask, stat: max(
-        1.0 - asymptotic_cdf(tables[mask.bit_count()], stat),
-        1.0 / (tables[mask.bit_count()].draws.shape[0] + 1)),
-        (mode,), alpha, tables[1].draws.shape[0], tables[1].seed)[mode]
+    return _reports(sample, p, partial(_table_pvalues, tables), (mode,), alpha,
+                    tables[1].draws.shape[0], tables[1].seed)[mode]
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,10 @@ def estimate_power(
     The null reference is built once (from sub-stream 0 of the experiment
     seed) and shared by every trial; trial t draws its sample from
     sub-stream 1 + t. The trials are scored like null replicates, in work
-    units, into one (trials, #subsets) matrix; each column's p-values overwrite
-    its statistics, and each mode decides the whole cell in one ``_decide``
-    call on them. A trial's decision is that of ``run_tests`` on the same
-    sample, so estimates are deterministic for any thread count or unit size.
+    units, into one (trials, #subsets) matrix, whose statistics one ``phat`` call
+    overwrites with their p-values; each mode decides the whole cell in one
+    ``_decide`` call on them. A trial's decision is that of ``run_tests`` on the
+    same sample, so estimates are deterministic for any thread count or unit size.
     """
     root = RandomStream(experiment.seed)
     spec, n, p = experiment.alternative, experiment.n, experiment.alternative.p
@@ -91,8 +91,7 @@ def estimate_power(
     masks = enumerate_subsets(p, experiment.h)
     cell = _statistic_matrix(lambda t: sample_alternative(root.child(1 + t), spec, n).data,
                              trials, (n, p), masks, threads)
-    for i, mask in enumerate(masks):
-        cell[:, i] = phat(reference, mask, cell[:, i])
+    phat(reference, masks, cell)
     out = {}
     for mode in experiment.modes:
         k = int(_decide(mode, cell, experiment.alpha)[2].sum())

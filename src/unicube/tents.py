@@ -29,6 +29,8 @@ the number of subsets.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import Sample, enumerate_subsets, mask_cardinality
@@ -47,6 +49,10 @@ _PAIR_TILE = 512
 #: a full block, so that each operand stays in L2, and all p for a small
 #: sample's single tiles, so that its call makes no more numpy calls than one slab.
 _BLOCK_BYTES = 8 * 64 * _PAIR_TILE
+#: Pair indices are cached up to this many pairs (n <= 90), where building
+#: them took 4-12% of a single p = 6 sample's call (n = 90 to 31). Caching
+#: larger ones (0.5 MB at n = 200) raised a null build's peak memory by 1.3 MB.
+_CACHED_PAIRS = 4096
 
 
 def pair_factor(u: float, v: float) -> float:
@@ -127,15 +133,29 @@ def _pair_tiles(n: int, tiles: int = 1):
     min(ends[a], hi) - max(starts[a], lo) of the pairs [lo, hi). The indices
     are built from these O(n) row bounds for a whole number of steps,
     at most ``_BLOCK_BYTES // 8`` pairs (64 tiles), at a time, so they take a
-    fixed size however large n is.
+    fixed size however large n is. When at most ``_CACHED_PAIRS`` pairs exist
+    (n <= 90), the steps of the last 8 such (n, tiles) keys, under 100 kB
+    each, are kept, so that a test session or a power cell builds them once.
+    Every index array is read-only.
     """
+    step = tiles * _PAIR_TILE
+    if n * (n + 1) // 2 > _CACHED_PAIRS:
+        return _pair_steps(n, step, _BLOCK_BYTES // 8 // step * step)
+    return _single_chunk(n, step)
+
+
+@lru_cache(maxsize=8)
+def _single_chunk(n: int, step: int) -> tuple:
+    return tuple(_pair_steps(n, step, n * (n + 1) // 2))
+
+
+def _pair_steps(n: int, step: int, chunk: int):
+    """The steps of ``_pair_tiles`` of ``step`` pairs, indexed ``chunk`` at a time."""
     lengths = np.arange(n, 0, -1)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     pairs = int(ends[-1])
     full = pairs - pairs % _PAIR_TILE
-    step = tiles * _PAIR_TILE
-    chunk = _BLOCK_BYTES // 8 // step * step
     for lo in range(0, pairs, chunk):
         hi = min(lo + chunk, pairs)
         first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
@@ -143,6 +163,8 @@ def _pair_tiles(n: int, tiles: int = 1):
                        - np.maximum(starts[first:last + 1], lo))
         tb = np.arange(lo, hi) - ends[ta] + n
         weight = np.where(ta == tb, 1.0, 2.0)
+        for index in (ta, tb, weight):
+            index.flags.writeable = False
         cuts = [*range(0, min(hi, full) - lo, step), min(hi, full) - lo, hi - lo]
         for start, stop in zip(cuts, cuts[1:]):
             if stop > start:

@@ -1,6 +1,7 @@
 """Domain types: subset enumeration, sample validation, random streams."""
 
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -57,6 +58,23 @@ class TestMaskHelpers:
 
     def test_label_is_one_based(self):
         assert mask_label(0b101) == "{1,3}"
+
+    def test_negative_mask_refused(self):
+        # -1 >> 1 is -1, so a loop that shifts until zero never ends: an alarm
+        # makes such a loop fail the test instead of hanging the suite. It is
+        # short because that loop also appends, about 180 MB in half a second.
+        def expire(signum, frame):
+            raise TimeoutError("mask_members(-1) did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        try:
+            for call in (mask_members, mask_label):
+                with pytest.raises(ValueError, match=re.escape("mask must be >= 0, got -1")):
+                    call(-1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSample:

@@ -269,25 +269,34 @@ class TestWorkerCap:
 class TestPhat:
     def test_observed_below_all(self):
         ref = synthetic_reference([1.0, 2.0, 3.0])
-        assert phat(ref, 1, 0.5) == 1.0
+        block = np.array([[0.5]])
+        assert phat(ref, [1], block) is block
+        assert block.tolist() == [[1.0]]
 
     def test_observed_above_all(self):
         ref = synthetic_reference([1.0, 2.0, 3.0])
-        assert phat(ref, 1, 9.0) == 1.0 / 4.0
+        assert phat(ref, [1], np.array([[9.0]])).tolist() == [[1.0 / 4.0]]
 
     def test_tie_excluded_single_draw(self):
         ref = synthetic_reference([2.0])
-        assert phat(ref, 1, 2.0) == 0.5
+        assert phat(ref, [1], np.array([[2.0]])).tolist() == [[0.5]]
 
     def test_monotone_in_observed(self):
         ref = synthetic_reference(np.linspace(0.01, 1.0, 99))
-        values = [phat(ref, 1, x) for x in np.linspace(0.0, 1.1, 50)]
+        values = phat(ref, [1], np.linspace(0.0, 1.1, 50)[:, None])[:, 0].tolist()
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_unknown_mask(self):
         ref = synthetic_reference([1.0])
-        with pytest.raises(ValueError):
-            phat(ref, 2, 0.5)
+        with pytest.raises(ValueError, match="subset 0x2 not present in the reference"):
+            phat(ref, [2], np.array([[0.5]]))
+
+    @pytest.mark.parametrize("block", [np.zeros((1, 2)), np.zeros((3, 1), dtype=np.int64),
+                                       np.zeros(1), np.zeros((1, 1, 1)), [[0.5]]])
+    def test_block_of_other_shape_or_dtype_refused(self, block):
+        ref = synthetic_reference([1.0, 2.0])
+        with pytest.raises(ValueError, match="2-d float64 block of 1 columns"):
+            phat(ref, [1], block)
 
 
 class TestMTest:

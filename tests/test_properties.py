@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from unicube import NullReference, enumerate_subsets, load_reference, save_reference
-from unicube.brownian import AsymptoticNormTable
-from unicube.inference import _decide, load_table, phat, save_table
+from unicube.brownian import AsymptoticNormTable, asymptotic_cdf
+from unicube.inference import _decide, _table_pvalues, load_table, phat, save_table
 from unicube.tents import _norms_for_masks
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -91,22 +91,57 @@ def test_sidecar_load_is_bit_identical_to_text_load(block):
 def test_phat_does_not_increase_with_observed(vec, x, y):
     ref = reference(vec)
     lo, hi = min(x, y), max(x, y)
-    assert phat(ref, 1, hi) <= phat(ref, 1, lo)
+    at_hi, at_lo = phat(ref, [1], np.array([[hi], [lo]]))[:, 0]
+    assert at_hi <= at_lo
+
+
+def _blocks(vectors, data):
+    """A block of statistics, one column per vector: values drawn from the
+    vectors themselves (ties), from beyond both ends of each, and anywhere."""
+    values = np.concatenate(vectors).tolist()
+    element = st.one_of(st.sampled_from(values),
+                        st.sampled_from([min(values) - 1.0, max(values) + 1.0, -np.inf, np.inf]),
+                        finite)
+    rows = data.draw(st.integers(1, 8))
+    return np.array(data.draw(st.lists(st.lists(element, min_size=len(vectors),
+                                                max_size=len(vectors)),
+                                       min_size=rows, max_size=rows)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(sorted_vectors, st.data())
-def test_phat_on_an_array_equals_scalar_calls(vec, data):
-    # Observed values drawn from the null draws themselves (ties), from
-    # beyond both ends, and anywhere else.
-    ref = reference(vec)
-    element = st.one_of(st.sampled_from(vec.tolist()),
-                        st.sampled_from([vec[0] - 1.0, vec[-1] + 1.0, -np.inf, np.inf]),
-                        finite)
-    observed = np.array(data.draw(st.lists(element, min_size=1, max_size=30)))
-    batched = phat(ref, 1, observed)
-    scalar = np.array([phat(ref, 1, float(x)) for x in observed])
+@given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(1, 40)), elements=finite),
+       st.data())
+def test_phat_on_an_array_equals_scalar_calls(vectors, data):
+    # Each entry of a block of several rows and subsets has the bits of a
+    # one-value block and of the integer formula (#greater + 1) / (R + 1).
+    vectors = np.sort(vectors, axis=1)
+    masks = enumerate_subsets(2, 2)
+    ref = NullReference(n=5, p=2, h=2, R=vectors.shape[1], seed=0,
+                        norms=dict(zip(masks, vectors)))
+    observed = _blocks(vectors, data)
+    batched = phat(ref, masks, observed.copy())
+    single = np.array([[phat(ref, [mask], np.array([[x]]))[0, 0] for mask, x in zip(masks, row)]
+                       for row in observed.tolist()])
+    counted = np.array([[(ref.R - int(np.searchsorted(vec, x, side="right")) + 1) / (ref.R + 1)
+                         for vec, x in zip(vectors, row)] for row in observed.tolist()])
     assert batched.dtype == np.float64
+    assert batched.view(np.uint64).tolist() == single.view(np.uint64).tolist()
+    assert batched.view(np.uint64).tolist() == counted.view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_vectors, sorted_vectors, st.data())
+def test_table_pvalues_equal_the_floored_scalar_cdf(draws1, draws2, data):
+    # Columns of cardinality 1 and 2 read tables of different sizes M; each
+    # entry has the bits of max(1 - cdf(x), 1/(M+1)) at one statistic.
+    tables = {k: AsymptoticNormTable(k=k, draws=draws, nu_max=3, seed=0)
+              for k, draws in ((1, draws1), (2, draws2))}
+    masks = enumerate_subsets(2, 2)
+    observed = _blocks([draws1, draws1, draws2], data)
+    batched = _table_pvalues(tables, masks, observed.copy())
+    scalar = np.array([[max(1.0 - asymptotic_cdf(tables[mask.bit_count()], float(x)),
+                            1.0 / (tables[mask.bit_count()].draws.shape[0] + 1))
+                        for mask, x in zip(masks, row)] for row in observed.tolist()])
     assert batched.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
 
 

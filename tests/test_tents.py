@@ -434,6 +434,16 @@ class TestPairTiles:
         weights = np.concatenate([weight for _, _, weight in tiles])
         assert weights.tolist() == np.where(ia == ib, 1.0, 2.0).tolist()
 
+    def test_single_chunk_steps_are_cached_read_only(self):
+        first, again = tents._pair_tiles(50, 2), tents._pair_tiles(50, 2)
+        assert len(first) == len(again) == 2  # two full tiles, then 251 pairs
+        for step, same in zip(first, again):
+            for index, twin in zip(step, same):
+                assert index is twin
+                assert not index.flags.writeable
+                with pytest.raises(ValueError):
+                    index.flags.writeable = True
+
     @pytest.mark.parametrize("tiles", [2, 3, 21, 64])
     @pytest.mark.parametrize("n", [1, 31, 90, 256, 300, 1023])
     def test_steps_group_full_tiles(self, n, tiles):
